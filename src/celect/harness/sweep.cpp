@@ -32,6 +32,9 @@ class ErrorSlot {
   std::exception_ptr error_ CELECT_GUARDED_BY(mu_);
 };
 
+// The failure flag of the loop the current worker thread serves.
+thread_local const std::atomic<bool>* tls_failed = nullptr;
+
 }  // namespace
 
 std::uint32_t ResolveThreads(std::uint32_t requested, std::size_t count) {
@@ -64,6 +67,7 @@ void ParallelFor(std::size_t count, std::uint32_t threads,
   pool.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
     pool.emplace_back([&next, count, &body, &failed, &error] {
+      tls_failed = &failed;
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < count && !failed.load(std::memory_order_relaxed);
            i = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -78,6 +82,10 @@ void ParallelFor(std::size_t count, std::uint32_t threads,
   }
   for (auto& t : pool) t.join();
   error.Rethrow();
+}
+
+bool ParallelForFailed() {
+  return tls_failed != nullptr && tls_failed->load(std::memory_order_relaxed);
 }
 
 std::vector<sim::RunResult> RunSweep(const std::vector<SweepPoint>& grid,

@@ -48,6 +48,12 @@ struct SweepPoint {
 void ParallelFor(std::size_t count, std::uint32_t threads,
                  const std::function<void(std::size_t)>& body);
 
+// Called from a ParallelFor body: true once a body of the same loop has
+// thrown, after which the pool claims no further index. A long cell may
+// poll it to give up early. Always false on the inline one-thread path
+// (a throw there ends the loop at once) and outside ParallelFor.
+bool ParallelForFailed();
+
 // Runs every grid point via RunElection and returns the results in
 // grid order. results[i] is bit-identical to a serial run of grid[i]
 // for any thread count (modulo the wall-clock fields).

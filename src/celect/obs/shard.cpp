@@ -1,13 +1,13 @@
 #include "celect/obs/shard.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
+#include "celect/obs/fields.h"
 #include "celect/obs/trace_inspect.h"
 
 namespace celect::obs {
@@ -23,35 +23,18 @@ constexpr FlightKind kAllFlightKinds[] = {
     FlightKind::kVersionMismatch,
 };
 
-std::optional<std::uint64_t> ParseU64(const std::string& s) {
-  if (s.empty() || s[0] == '-') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
+using sim::TraceRecord;
 
-// "key=value" → value, checking the key; nullopt on mismatch.
-std::optional<std::string> TakeField(const std::string& token,
-                                     const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) return std::nullopt;
-  return token.substr(prefix.size());
-}
-
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
+// Problem lines name the shard and the record; the list stops at 50,
+// which is enough to act on.
+void AddProblem(std::vector<std::string>* problems, std::size_t si,
+                const TraceShard& shard, std::size_t record,
+                const char* why) {
+  if (problems->size() >= 50) return;
+  std::ostringstream os;
+  os << "shard " << si << " (node " << shard.node << " epoch "
+     << shard.epoch << ") record " << record << ": " << why;
+  problems->push_back(os.str());
 }
 
 }  // namespace
@@ -167,7 +150,7 @@ std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
       for (const std::string& item : SplitOn(section.substr(2), ',')) {
         const std::size_t eq = item.find('=');
         if (eq == std::string::npos || eq == 0) return std::nullopt;
-        const auto v = ParseU64(item.substr(eq + 1));
+        const auto v = ParseField<std::uint64_t>(item.substr(eq + 1));
         if (!v) return std::nullopt;
         reg.counters_[item.substr(0, eq)] += *v;
       }
@@ -178,15 +161,15 @@ std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
         const std::string name = item.substr(0, eq);
         const auto parts = SplitOn(item.substr(eq + 1), ';');
         if (parts.size() != 5) return std::nullopt;
-        const auto count = ParseU64(parts[0]);
-        const auto sum = ParseU64(parts[1]);
-        const auto min = ParseU64(parts[2]);
-        const auto max = ParseU64(parts[3]);
+        const auto count = ParseField<std::uint64_t>(parts[0]);
+        const auto sum = ParseField<std::uint64_t>(parts[1]);
+        const auto min = ParseField<std::uint64_t>(parts[2]);
+        const auto max = ParseField<std::uint64_t>(parts[3]);
         if (!count || !sum || !min || !max) return std::nullopt;
         std::vector<std::uint64_t> buckets;
         if (!parts[4].empty()) {
           for (const std::string& b : SplitOn(parts[4], ':')) {
-            const auto bv = ParseU64(b);
+            const auto bv = ParseField<std::uint64_t>(b);
             if (!bv) return std::nullopt;
             buckets.push_back(*bv);
           }
@@ -199,6 +182,10 @@ std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
       return std::nullopt;
     }
   }
+  // Only the canonical spelling is accepted (sorted unique names, no
+  // empty histogram, no trailing zero bucket), so a snapshot
+  // round-trips byte for byte.
+  if (reg.SerializeCompact() != line) return std::nullopt;
   return reg;
 }
 
@@ -240,35 +227,30 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
     if (line.empty()) continue;
     if (line.rfind("#shard ", 0) == 0) {
       if (cur) return fail("shard not terminated before next '#shard'");
-      std::istringstream hs(line);
-      std::string tag, version, node_tok, epoch_tok, complete_tok,
-          dropped_tok;
-      if (!(hs >> tag >> version >> node_tok >> epoch_tok >> complete_tok >>
-            dropped_tok)) {
-        return fail("malformed shard header");
-      }
-      if (version != "v1") return fail("unknown shard version");
-      const auto node = TakeField(node_tok, "node");
-      const auto epoch = TakeField(epoch_tok, "epoch");
-      const auto complete = TakeField(complete_tok, "complete");
-      const auto dropped = TakeField(dropped_tok, "dropped");
-      if (!node || !epoch || !complete || !dropped) {
-        return fail("malformed shard header field");
-      }
-      const auto node_v = ParseU64(*node);
-      const auto epoch_v = ParseU64(*epoch);
-      const auto complete_v = ParseU64(*complete);
-      const auto dropped_v = ParseU64(*dropped);
-      if (!node_v || !epoch_v || !complete_v || *complete_v > 1 ||
-          !dropped_v) {
-        return fail("non-numeric shard header field");
-      }
       const std::size_t label_pos = line.find(" label=");
       if (label_pos == std::string::npos) {
         return fail("shard header missing label");
       }
+      const auto tok = SplitOn(line.substr(0, label_pos), ' ');
+      if (tok.size() != 6) return fail("malformed shard header");
+      if (tok[1] != "v1") return fail("unknown shard version");
+      const auto node = TakeField(tok[2], "node");
+      const auto epoch = TakeField(tok[3], "epoch");
+      const auto complete = TakeField(tok[4], "complete");
+      const auto dropped = TakeField(tok[5], "dropped");
+      if (!node || !epoch || !complete || !dropped) {
+        return fail("malformed shard header field");
+      }
+      const auto node_v = ParseField<sim::NodeId>(*node);
+      const auto epoch_v = ParseField<std::uint64_t>(*epoch);
+      const auto complete_v = ParseField<std::uint64_t>(*complete);
+      const auto dropped_v = ParseField<std::uint64_t>(*dropped);
+      if (!node_v || !epoch_v || !complete_v || *complete_v > 1 ||
+          !dropped_v) {
+        return fail("bad shard header field value");
+      }
       TraceShard s;
-      s.node = static_cast<sim::NodeId>(*node_v);
+      s.node = *node_v;
       s.epoch = *epoch_v;
       s.complete = *complete_v == 1;
       s.dropped = *dropped_v;
@@ -284,30 +266,25 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       continue;
     }
     if (line.rfind("#flight ", 0) == 0) {
-      std::istringstream fs(line);
-      std::string tag, at_tok, peer_tok, kind_tok, a_tok, b_tok;
-      if (!(fs >> tag >> at_tok >> peer_tok >> kind_tok >> a_tok >>
-            b_tok)) {
-        return fail("malformed flight line");
-      }
-      const auto at = TakeField(at_tok, "at");
-      const auto peer = TakeField(peer_tok, "peer");
-      const auto kind = TakeField(kind_tok, "kind");
-      const auto a = TakeField(a_tok, "a");
-      const auto b = TakeField(b_tok, "b");
+      const auto tok = SplitOn(line, ' ');
+      if (tok.size() != 6) return fail("malformed flight line");
+      const auto at = TakeField(tok[1], "at");
+      const auto peer = TakeField(tok[2], "peer");
+      const auto kind = TakeField(tok[3], "kind");
+      const auto a = TakeField(tok[4], "a");
+      const auto b = TakeField(tok[5], "b");
       if (!at || !peer || !kind || !a || !b) {
         return fail("malformed flight field");
       }
-      const auto at_v = ParseU64(*at);
-      const auto peer_v = ParseU64(*peer);
+      const auto at_v = ParseField<std::uint64_t>(*at);
+      const auto peer_v = ParseField<std::uint32_t>(*peer);
       const auto kind_v = FlightKindFromName(*kind);
-      const auto a_v = ParseU64(*a);
-      const auto b_v = ParseU64(*b);
+      const auto a_v = ParseField<std::uint64_t>(*a);
+      const auto b_v = ParseField<std::uint64_t>(*b);
       if (!at_v || !peer_v || !kind_v || !a_v || !b_v) {
         return fail("bad flight field value");
       }
-      cur->flight.push_back(FlightEvent{
-          *at_v, static_cast<std::uint32_t>(*peer_v), *kind_v, *a_v, *b_v});
+      cur->flight.push_back(FlightEvent{*at_v, *peer_v, *kind_v, *a_v, *b_v});
       continue;
     }
     if (line == "#end shard") {
@@ -384,24 +361,52 @@ MetricsRegistry ShardReducer::MergedMetrics() const {
   return reg;
 }
 
-// --- CheckShards ----------------------------------------------------
+// --- validation -----------------------------------------------------
+
+std::vector<TraceShard> ShardsFromRecords(
+    const std::vector<sim::TraceRecord>& records,
+    std::vector<std::string>* problems) {
+  std::map<sim::NodeId, TraceShard> by_node;
+  std::unordered_set<std::uint64_t> minted;
+  // (node, index in its shard) of each outcome seen before its send.
+  std::vector<std::pair<sim::NodeId, std::size_t>> early;
+  for (const TraceRecord& r : records) {
+    TraceShard& shard = by_node[r.node];
+    if (r.kind == TraceRecord::Kind::kSend) {
+      minted.insert(r.mid);
+    } else if (IsMessageOutcome(r.kind) && r.mid != 0 &&
+               minted.count(r.mid) == 0) {
+      early.emplace_back(r.node, shard.records.size());
+    }
+    shard.records.push_back(r);
+  }
+  std::vector<TraceShard> shards;
+  shards.reserve(by_node.size());
+  for (auto& [node, shard] : by_node) {
+    shard.node = node;
+    shard.complete = true;
+    shards.push_back(std::move(shard));
+  }
+  for (const auto& [node, idx] : early) {
+    const auto it = std::lower_bound(
+        shards.begin(), shards.end(), node,
+        [](const TraceShard& s, sim::NodeId n) { return s.node < n; });
+    AddProblem(problems, static_cast<std::size_t>(it - shards.begin()), *it,
+               idx, "outcome precedes its send");
+  }
+  return shards;
+}
 
 std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
-                                     const ShardCheckOptions& opts) {
-  using sim::TraceRecord;
+                                     bool expect_fifo) {
   std::vector<std::string> problems;
-  const auto problem = [&](std::size_t si, const TraceShard& shard,
-                           const std::string& where,
-                           const std::string& why) {
-    if (problems.size() >= 50) return;  // enough to act on
-    std::ostringstream os;
-    os << "shard " << si << " (node " << shard.node << " epoch "
-       << shard.epoch << ") " << where << ": " << why;
-    problems.push_back(os.str());
+  const auto problem = [&problems, &shards](std::size_t si, std::size_t i,
+                                            const char* why) {
+    AddProblem(&problems, si, shards[si], i, why);
   };
 
   // Nodes with an incomplete shard: their unflushed tail is the one
-  // legitimate source of deliveries whose send no shard contains.
+  // legitimate source of outcomes whose send no shard contains.
   std::set<sim::NodeId> incomplete_nodes;
   for (const TraceShard& s : shards) {
     if (!s.complete) incomplete_nodes.insert(s.node);
@@ -414,13 +419,6 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
   };
   std::unordered_map<std::uint64_t, SendRef> send_of;
 
-  const auto is_clocked = [](TraceRecord::Kind k) {
-    return k == TraceRecord::Kind::kSend ||
-           k == TraceRecord::Kind::kDeliver ||
-           k == TraceRecord::Kind::kWakeup ||
-           k == TraceRecord::Kind::kTimerFire;
-  };
-
   // Pass 1: per-shard clock discipline + the global send index. Clocks
   // are per incarnation — a restarted node's shard starts over at 0.
   for (std::size_t si = 0; si < shards.size(); ++si) {
@@ -431,30 +429,24 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
     bool have_ticked = false;
     for (std::size_t i = 0; i < shard.records.size(); ++i) {
       const auto& r = shard.records[i];
-      const std::string where = "record " + std::to_string(i);
-      if (r.node != shard.node) {
-        problem(si, shard, where, "record from a foreign node");
-      }
+      if (r.node != shard.node) problem(si, i, "record from a foreign node");
       if (r.kind == TraceRecord::Kind::kSend) {
         if (r.mid == 0) {
-          problem(si, shard, where, "send without a mid");
+          problem(si, i, "send without a mid");
         } else if (!send_of.emplace(r.mid, SendRef{si, i, r.clock})
                         .second) {
-          problem(si, shard, where, "mid minted twice across shards");
+          problem(si, i, "mid minted twice across shards");
         }
       }
       if (have_clock && r.clock < last_clock) {
-        problem(si, shard, where, "node clock went backwards");
+        problem(si, i, "node clock went backwards");
       }
       last_clock = r.clock;
       have_clock = true;
-      if (is_clocked(r.kind)) {
-        if (r.clock == 0) {
-          problem(si, shard, where, "clocked event with clock 0");
-        }
+      if (IsClocked(r.kind)) {
+        if (r.clock == 0) problem(si, i, "clocked event with clock 0");
         if (have_ticked && r.clock <= last_ticked) {
-          problem(si, shard, where,
-                  "clocked event did not advance the node clock");
+          problem(si, i, "clocked event did not advance the node clock");
         }
         last_ticked = r.clock;
         have_ticked = true;
@@ -462,39 +454,38 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
     }
   }
 
-  // Pass 2: cross-shard delivery joins and per-session FIFO. A session
-  // is a (sender incarnation, receiver incarnation) pair; the reliable
-  // layer promises send-order delivery within it.
+  // Pass 2: every outcome pairs with a send; deliveries also obey the
+  // cross-shard join and per-session FIFO. A session is a (sender
+  // incarnation, receiver incarnation) pair; the reliable layer
+  // promises send-order delivery within it.
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> fifo_last;
   for (std::size_t si = 0; si < shards.size(); ++si) {
     const TraceShard& shard = shards[si];
     for (std::size_t i = 0; i < shard.records.size(); ++i) {
       const auto& r = shard.records[i];
-      if (r.kind != TraceRecord::Kind::kDeliver) continue;
-      const std::string where = "record " + std::to_string(i);
+      if (!IsMessageOutcome(r.kind)) continue;
       if (r.mid == 0) {
-        problem(si, shard, where, "delivery without a mid");
+        problem(si, i, "message outcome without a mid");
         continue;
       }
       const auto it = send_of.find(r.mid);
       if (it == send_of.end()) {
         if (incomplete_nodes.count(r.peer) == 0) {
-          problem(si, shard, where,
-                  "delivery with no matching send in any shard");
+          problem(si, i, "outcome with no matching send in any shard");
         }
         continue;
       }
+      if (r.kind != TraceRecord::Kind::kDeliver) continue;
       const SendRef& s = it->second;
       if (r.clock <= s.clock) {
-        problem(si, shard, where,
-                "delivery clock does not exceed the send clock");
+        problem(si, i, "delivery clock does not exceed the send clock");
       }
-      if (opts.expect_fifo) {
+      if (expect_fifo) {
         const auto key = std::make_pair(s.shard, si);
         auto [fit, fresh] = fifo_last.try_emplace(key, s.idx);
         if (!fresh) {
           if (s.idx <= fit->second) {
-            problem(si, shard, where,
+            problem(si, i,
                     "per-session FIFO violated (delivery overtook an "
                     "earlier send)");
           }

@@ -168,30 +168,40 @@ class ShardReducer {
   mutable std::vector<TraceShard> shards_;
 };
 
-// --- cross-process validation ---------------------------------------
+// --- validation -----------------------------------------------------
+//
+// One checker serves both worlds: a multi-process run's merged shards,
+// and an in-process trace split into one complete shard per node.
 
-struct ShardCheckOptions {
-  // Assert per-session FIFO: for every (sender incarnation, receiver
-  // incarnation) pair, matched sends are delivered in send order. The
-  // reliable session guarantees this even over lossy, reordering UDP.
-  bool expect_fifo = true;
-};
+// Splits an in-process record stream into one complete shard per node
+// (epoch 0, sorted by node), each holding that node's records in stream
+// order. The same pass checks the one rule only a single recorder's
+// stream can state — every outcome follows the send that minted its
+// mid — and appends violations to *problems in CheckShards' format.
+std::vector<TraceShard> ShardsFromRecords(
+    const std::vector<sim::TraceRecord>& records,
+    std::vector<std::string>* problems);
 
-// Semantic validation of a merged shard set:
+// Semantic validation of a shard set:
 //   - per-shard Lamport monotonicity (an incarnation restarts at 0, so
 //     clocks are checked per shard, never across shards of one node),
-//   - global mid uniqueness (each wire mid minted by exactly one send
+//   - global mid uniqueness (each mid minted by exactly one send
 //     across all shards),
-//   - the cross-process join rule (a delivery's clock exceeds the clock
-//     carried by the matching send in the sender's shard),
-//   - per-session FIFO when opted in,
-//   - orphan deliveries (no shard contains the send) are tolerated only
+//   - outcome pairing (every deliver/drop/loss/duplicate carries a
+//     nonzero mid that some shard's send minted),
+//   - the join rule (a delivery's clock exceeds the clock carried by
+//     the matching send in the sender's shard),
+//   - per-session FIFO when `expect_fifo`: for every (sender
+//     incarnation, receiver incarnation) pair, matched sends are
+//     delivered in send order. The reliable session guarantees this even
+//     over lossy, reordering UDP; pass false for in-process runs with
+//     injected reordering, duplication or controlled schedules,
+//   - orphan outcomes (no shard contains the send) are tolerated only
 //     when some shard of the sending node is incomplete — a SIGKILLed
 //     sender's unflushed tail is the one legitimate gap. Under SimNet
-//     every shard is complete, so tolerance is zero.
-// Returns human-readable problems; empty means the merged trace is
-// coherent.
+//     and in-process every shard is complete, so tolerance is zero.
+// Returns human-readable problems; empty means the trace is coherent.
 std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
-                                     const ShardCheckOptions& opts = {});
+                                     bool expect_fifo = true);
 
 }  // namespace celect::obs

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
+
+#include "celect/obs/fields.h"
 
 namespace celect::obs {
 
@@ -33,8 +32,26 @@ std::optional<TraceRecord::Kind> KindFromName(const std::string& name) {
   return std::nullopt;
 }
 
-// A record's clock is meaningful (ticked by the runtime) on these kinds;
-// the rest merely snapshot the node's current clock.
+// "doubling.3" → (kDoubling, 3); "capture1" → (kCapture1, 0).
+// Level 0 is never spelled out ("capture1.0" is not canonical).
+std::optional<std::pair<PhaseId, std::int64_t>> ParsePhaseKey(
+    const std::string& key) {
+  const std::size_t dot = key.rfind('.');
+  if (dot != std::string::npos) {
+    const auto level =
+        ParseField<std::int64_t>(std::string_view(key).substr(dot + 1));
+    if (level && *level != 0) {
+      if (auto id = PhaseFromName(key.substr(0, dot))) {
+        return std::make_pair(*id, *level);
+      }
+    }
+  }
+  if (auto id = PhaseFromName(key)) return std::make_pair(*id, 0);
+  return std::nullopt;
+}
+
+}  // namespace
+
 bool IsClocked(TraceRecord::Kind k) {
   return k == TraceRecord::Kind::kSend ||
          k == TraceRecord::Kind::kDeliver ||
@@ -47,51 +64,6 @@ bool IsMessageOutcome(TraceRecord::Kind k) {
          k == TraceRecord::Kind::kDrop || k == TraceRecord::Kind::kLoss ||
          k == TraceRecord::Kind::kDuplicate;
 }
-
-// "key=value" → value, checking the key; nullopt on mismatch.
-std::optional<std::string> TakeField(const std::string& token,
-                                     const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) return std::nullopt;
-  return token.substr(prefix.size());
-}
-
-std::optional<std::int64_t> ParseInt(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
-
-// seq/clock/mid use the full unsigned range (wire mids are random
-// 64-bit values), so they get their own parse instead of ParseInt.
-std::optional<std::uint64_t> ParseUint(const std::string& s) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
-
-// "doubling.3" → (kDoubling, 3); "capture1" → (kCapture1, 0).
-std::optional<std::pair<PhaseId, std::int64_t>> ParsePhaseKey(
-    const std::string& key) {
-  const std::size_t dot = key.rfind('.');
-  if (dot != std::string::npos) {
-    if (auto level = ParseInt(key.substr(dot + 1))) {
-      if (auto id = PhaseFromName(key.substr(0, dot))) {
-        return std::make_pair(*id, *level);
-      }
-    }
-  }
-  if (auto id = PhaseFromName(key)) return std::make_pair(*id, 0);
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::string SerializeRecord(const sim::TraceRecord& r) {
   std::ostringstream os;
@@ -108,51 +80,43 @@ std::optional<sim::TraceRecord> ParseRecordLine(const std::string& line,
     if (error) *error = why;
     return std::nullopt;
   };
-  std::istringstream ls(line);
-  std::string seq_tok, kind_tok;
-  std::string at_tok, node_tok, peer_tok, port_tok, type_tok, clock_tok,
-      mid_tok, phase_tok;
-  if (!(ls >> seq_tok >> kind_tok >> at_tok >> node_tok >> peer_tok >>
-        port_tok >> type_tok >> clock_tok >> mid_tok >> phase_tok)) {
-    return fail("expected 10 tokens");
-  }
-  std::string rest;
-  if (ls >> rest) return fail("trailing tokens");
+  const std::vector<std::string> tok = SplitOn(line, ' ');
+  if (tok.size() != 10) return fail("expected 10 single-space tokens");
   TraceRecord r{};
-  const auto seq = ParseUint(seq_tok);
+  const auto seq = ParseField<std::uint64_t>(tok[0]);
   if (!seq) return fail("bad seq");
   r.seq = *seq;
-  const auto kind = KindFromName(kind_tok);
-  if (!kind) return fail("unknown kind '" + kind_tok + "'");
+  const auto kind = KindFromName(tok[1]);
+  if (!kind) return fail("unknown kind '" + tok[1] + "'");
   r.kind = *kind;
-  const auto at = TakeField(at_tok, "at");
-  const auto node = TakeField(node_tok, "node");
-  const auto peer = TakeField(peer_tok, "peer");
-  const auto port = TakeField(port_tok, "port");
-  const auto type = TakeField(type_tok, "type");
-  const auto clock = TakeField(clock_tok, "clock");
-  const auto mid = TakeField(mid_tok, "mid");
-  const auto phase = TakeField(phase_tok, "phase");
+  const auto at = TakeField(tok[2], "at");
+  const auto node = TakeField(tok[3], "node");
+  const auto peer = TakeField(tok[4], "peer");
+  const auto port = TakeField(tok[5], "port");
+  const auto type = TakeField(tok[6], "type");
+  const auto clock = TakeField(tok[7], "clock");
+  const auto mid = TakeField(tok[8], "mid");
+  const auto phase = TakeField(tok[9], "phase");
   if (!at || !node || !peer || !port || !type || !clock || !mid ||
       !phase) {
     return fail("malformed field");
   }
-  const auto at_v = ParseInt(*at);
-  const auto node_v = ParseInt(*node);
-  const auto peer_v = ParseInt(*peer);
-  const auto port_v = ParseInt(*port);
-  const auto type_v = ParseInt(*type);
-  const auto clock_v = ParseUint(*clock);
-  const auto mid_v = ParseUint(*mid);
+  const auto at_v = ParseField<std::int64_t>(*at);
+  const auto node_v = ParseField<sim::NodeId>(*node);
+  const auto peer_v = ParseField<sim::NodeId>(*peer);
+  const auto port_v = ParseField<sim::Port>(*port);
+  const auto type_v = ParseField<std::uint16_t>(*type);
+  const auto clock_v = ParseField<std::uint64_t>(*clock);
+  const auto mid_v = ParseField<std::uint64_t>(*mid);
   if (!at_v || !node_v || !peer_v || !port_v || !type_v || !clock_v ||
       !mid_v) {
-    return fail("non-numeric field");
+    return fail("bad field value");
   }
   r.at = sim::Time::FromTicks(*at_v);
-  r.node = static_cast<sim::NodeId>(*node_v);
-  r.peer = static_cast<sim::NodeId>(*peer_v);
-  r.port = static_cast<sim::Port>(*port_v);
-  r.type = static_cast<std::uint16_t>(*type_v);
+  r.node = *node_v;
+  r.peer = *peer_v;
+  r.port = *port_v;
+  r.type = *type_v;
   r.clock = *clock_v;
   r.mid = *mid_v;
   const auto ph = ParsePhaseKey(*phase);
@@ -209,80 +173,6 @@ std::vector<sim::TraceRecord> FilterRecords(
     if (f.Matches(r)) out.push_back(r);
   }
   return out;
-}
-
-std::vector<std::string> CheckRecords(
-    const std::vector<sim::TraceRecord>& records, const CheckOptions& opts) {
-  std::vector<std::string> problems;
-  const auto problem = [&](std::size_t i, const std::string& why) {
-    if (problems.size() >= 50) return;  // enough to act on
-    std::ostringstream os;
-    os << "record " << i << " (" << SerializeRecord(records[i]) << "): " << why;
-    problems.push_back(os.str());
-  };
-
-  // mid → index of the minting kSend.
-  std::unordered_map<std::uint64_t, std::size_t> send_of;
-  // node → clock of its last record / last clocked record.
-  std::unordered_map<sim::NodeId, std::uint64_t> last_clock;
-  std::unordered_map<sim::NodeId, std::uint64_t> last_ticked;
-  // directed link (from,to) → send seq of the last matched delivery.
-  std::unordered_map<std::uint64_t, std::uint64_t> fifo_last;
-
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
-    if (r.kind == TraceRecord::Kind::kSend) {
-      if (r.mid == 0) problem(i, "send without a mid");
-      if (!send_of.emplace(r.mid, i).second) {
-        problem(i, "mid minted twice");
-      }
-    } else if (IsMessageOutcome(r.kind)) {
-      if (r.mid == 0) {
-        problem(i, "message outcome without a mid");
-      } else {
-        auto it = send_of.find(r.mid);
-        if (it == send_of.end()) {
-          problem(i, "outcome precedes its send");
-        } else if (r.kind == TraceRecord::Kind::kDeliver) {
-          const auto& s = records[it->second];
-          if (r.clock <= s.clock) {
-            problem(i, "delivery clock does not exceed the send clock");
-          }
-          if (opts.expect_fifo) {
-            const std::uint64_t link =
-                (static_cast<std::uint64_t>(r.peer) << 32) | r.node;
-            auto [fit, fresh] = fifo_last.try_emplace(link, s.seq);
-            if (!fresh) {
-              if (s.seq <= fit->second) {
-                problem(i, "per-link FIFO violated (delivery overtook an "
-                           "earlier send)");
-              }
-              fit->second = s.seq;
-            }
-          }
-        }
-      }
-    }
-
-    auto [lit, first] = last_clock.try_emplace(r.node, r.clock);
-    if (!first) {
-      if (r.clock < lit->second) {
-        problem(i, "node clock went backwards");
-      }
-      lit->second = r.clock;
-    }
-    if (IsClocked(r.kind)) {
-      auto [tit, tfirst] = last_ticked.try_emplace(r.node, r.clock);
-      if (!tfirst) {
-        if (r.clock <= tit->second) {
-          problem(i, "clocked event did not advance the node clock");
-        }
-        tit->second = r.clock;
-      }
-      if (r.clock == 0) problem(i, "clocked event with clock 0");
-    }
-  }
-  return problems;
 }
 
 std::optional<std::string> DiffRecords(

@@ -1,14 +1,16 @@
 // Trace inspection: a parseable on-disk record format plus the analyses
-// behind the celect_trace CLI — semantic validation (Lamport rules, flow
-// pairing, per-link FIFO), filtering, diffing, and causal chains.
+// behind the celect_trace CLI — filtering, diffing, and causal chains.
+// Semantic validation lives in one place, obs::CheckShards (shard.h),
+// which checks an in-process trace as one shard per node.
 //
-// The compact format is one record per line,
+// The compact format is one record per line, single-space separated,
 //
 //   <seq> <kind> at=<ticks> node=<n> peer=<n> port=<p> type=<t>
 //       clock=<c> mid=<m> phase=<key>       (all on one line)
 //
-// and round-trips exactly: Serialize(Parse(s)) == s for any serialized
-// trace, so a diff of two compact files is a diff of two runs.
+// and round-trips exactly: the parser accepts only the canonical form,
+// so Serialize(Parse(s)) == s for every accepted line, and a diff of two
+// compact files is a diff of two runs.
 #pragma once
 
 #include <cstdint>
@@ -38,27 +40,13 @@ std::optional<sim::TraceRecord> ParseRecordLine(const std::string& line,
 std::optional<std::vector<sim::TraceRecord>> ParseRecords(
     const std::string& text, std::string* error);
 
-// --- validation -----------------------------------------------------
+// --- record kinds ---------------------------------------------------
 
-struct CheckOptions {
-  // Assert per-link FIFO (matched send order equals delivery order on
-  // every directed link). Off for runs with injected reordering,
-  // duplication or controlled schedules.
-  bool expect_fifo = true;
-};
-
-// Semantic validation of a record stream:
-//   - per-node Lamport monotonicity (strictly increasing across the
-//     node's clocked events: send, deliver, wakeup, timer fire),
-//   - the delivery join rule (a kDeliver's clock exceeds the clock on
-//     the matching kSend),
-//   - flow pairing (every kDeliver/kDrop/kLoss/kDuplicate mid has a
-//     preceding kSend with that mid; every phase record is well formed),
-//   - per-link FIFO when opted in.
-// Returns human-readable problems; empty means the trace is coherent.
-std::vector<std::string> CheckRecords(
-    const std::vector<sim::TraceRecord>& records,
-    const CheckOptions& opts = {});
+// A record's clock is ticked by the runtime on these kinds; the rest
+// merely snapshot the node's current clock.
+bool IsClocked(sim::TraceRecord::Kind k);
+// Kinds that report what became of a sent message; they carry its mid.
+bool IsMessageOutcome(sim::TraceRecord::Kind k);
 
 // Structural well-formedness scan of a JSON document (objects, arrays,
 // strings, numbers, literals — validation only, no tree). nullopt when

@@ -10,8 +10,8 @@
 #include "celect/analysis/explorer.h"
 #include "celect/harness/chaos.h"
 #include "celect/harness/experiment.h"
-#include "celect/harness/sweep.h"
 #include "celect/obs/phase.h"
+#include "celect/obs/shard.h"
 #include "celect/obs/telemetry.h"
 #include "celect/obs/trace_export.h"
 #include "celect/obs/trace_inspect.h"
@@ -117,35 +117,6 @@ TEST(Telemetry, MergeAndEmpty) {
   EXPECT_EQ(t.inflight.samples_seen(), 1u);
 }
 
-TEST(TelemetryAccumulator, ConcurrentMergeMatchesSerialFold) {
-  // Shards arrive in whatever order the worker threads race to; the
-  // histogram totals must match a serial fold because Merge only
-  // touches the (commutative, associative) histograms.
-  obs::TelemetryAccumulator acc;
-  const std::size_t kShards = 32;
-  harness::ParallelFor(kShards, 8, [&](std::size_t i) {
-    obs::Telemetry shard;
-    shard.latency.Add(i);
-    shard.queue_depth.Add(2 * i + 1);
-    shard.inflight.Sample(static_cast<std::int64_t>(i), 1);
-    acc.Merge(shard);
-  });
-  EXPECT_EQ(acc.shards_merged(), kShards);
-  obs::Telemetry total = acc.Snapshot();
-  obs::Telemetry serial;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    obs::Telemetry shard;
-    shard.latency.Add(i);
-    shard.queue_depth.Add(2 * i + 1);
-    serial.Merge(shard);
-  }
-  EXPECT_EQ(total.latency, serial.latency);
-  EXPECT_EQ(total.queue_depth, serial.queue_depth);
-  // The order-dependent series is deliberately left out of the
-  // accumulated result.
-  EXPECT_EQ(total.inflight.samples_seen(), 0u);
-}
-
 // --- runtime telemetry -----------------------------------------------
 
 TEST(RuntimeTelemetry, PopulatedWhenEnabled) {
@@ -214,6 +185,19 @@ TEST(PhaseAggregation, ProtocolDBroadcastSpans) {
 
 // --- causal trace metadata -------------------------------------------
 
+// An in-process trace through the one trace checker: the split into
+// per-node shards flags outcomes listed ahead of their send, then
+// CheckShards applies every other rule.
+std::vector<std::string> CheckTrace(const std::vector<TraceRecord>& records,
+                                    bool expect_fifo = true) {
+  std::vector<std::string> problems;
+  const auto shards = obs::ShardsFromRecords(records, &problems);
+  for (std::string& p : obs::CheckShards(shards, expect_fifo)) {
+    problems.push_back(std::move(p));
+  }
+  return problems;
+}
+
 TracedRun TraceProtocolC(std::uint64_t seed) {
   RunOptions o;
   o.n = 16;
@@ -226,7 +210,7 @@ TEST(TraceCausality, CleanRunIsCoherent) {
   TracedRun run = TraceProtocolC(1);
   ASSERT_FALSE(run.records.empty());
   // Lamport monotonicity, delivery join rule, flow pairing, FIFO.
-  EXPECT_EQ(obs::CheckRecords(run.records), std::vector<std::string>{});
+  EXPECT_EQ(CheckTrace(run.records), std::vector<std::string>{});
 }
 
 TEST(TraceCausality, TimerLifecycleIsTraced) {
@@ -242,30 +226,74 @@ TEST(TraceCausality, TimerLifecycleIsTraced) {
   // The happy path cancels watchdogs as acks arrive — cancels must be
   // visible or timer timelines dangle.
   EXPECT_GT(count(TraceRecord::Kind::kTimerCancel), 0);
-  EXPECT_EQ(obs::CheckRecords(run.records), std::vector<std::string>{});
+  EXPECT_EQ(CheckTrace(run.records), std::vector<std::string>{});
+}
+
+// True when some problem line carries `what`.
+bool Mentions(const std::vector<std::string>& problems,
+              const std::string& what) {
+  for (const std::string& p : problems) {
+    if (p.find(what) != std::string::npos) return true;
+  }
+  return false;
+}
+
+// The first record of `kind`, or nullptr.
+TraceRecord* FirstOf(std::vector<TraceRecord>& records,
+                     TraceRecord::Kind kind) {
+  for (auto& r : records) {
+    if (r.kind == kind) return &r;
+  }
+  return nullptr;
 }
 
 TEST(TraceCausality, CheckCatchesTampering) {
   TracedRun run = TraceProtocolC(1);
   // Break Lamport monotonicity on some clocked record.
   auto tampered = run.records;
-  for (auto& r : tampered) {
-    if (r.kind == TraceRecord::Kind::kDeliver) {
-      r.clock = 0;
-      break;
-    }
-  }
-  EXPECT_FALSE(obs::CheckRecords(tampered).empty());
+  FirstOf(tampered, TraceRecord::Kind::kDeliver)->clock = 0;
+  EXPECT_TRUE(Mentions(CheckTrace(tampered), "clocked event with clock 0"));
 
   // Mint a delivery with a mid no send created.
   tampered = run.records;
-  for (auto& r : tampered) {
-    if (r.kind == TraceRecord::Kind::kDeliver) {
-      r.mid = 999999;
-      break;
-    }
-  }
-  EXPECT_FALSE(obs::CheckRecords(tampered).empty());
+  FirstOf(tampered, TraceRecord::Kind::kDeliver)->mid = 999999;
+  EXPECT_TRUE(Mentions(CheckTrace(tampered), "no matching send"));
+}
+
+TEST(TraceCausality, OutcomeBeforeItsSendIsRejectedAtTheSplit) {
+  // Node 1's delivery is listed ahead of node 0's send. Each node's own
+  // records are in order, so the shards alone look coherent: only the
+  // single recorder's stream can say the outcome came first.
+  TraceRecord deliver{};
+  deliver.kind = TraceRecord::Kind::kDeliver;
+  deliver.node = 1;
+  deliver.peer = 0;
+  deliver.clock = 2;
+  deliver.mid = 1;
+  TraceRecord send{};
+  send.kind = TraceRecord::Kind::kSend;
+  send.node = 0;
+  send.peer = 1;
+  send.clock = 1;
+  send.mid = 1;
+  std::vector<std::string> problems;
+  const auto shards = obs::ShardsFromRecords({deliver, send}, &problems);
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_TRUE(obs::CheckShards(shards).empty());
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0],
+            "shard 1 (node 1 epoch 0) record 0: outcome precedes its send");
+  EXPECT_TRUE(CheckTrace({send, deliver}).empty());
+
+  // The same on a real run: hoist a delivery above its send.
+  TracedRun run = TraceProtocolC(1);
+  auto moved = run.records;
+  const TraceRecord* d = FirstOf(moved, TraceRecord::Kind::kDeliver);
+  ASSERT_NE(d, nullptr);
+  const TraceRecord early = *d;
+  moved.erase(moved.begin() + (d - moved.data()));
+  moved.insert(moved.begin(), early);
+  EXPECT_TRUE(Mentions(CheckTrace(moved), "outcome precedes its send"));
 }
 
 TEST(TraceCausality, FlowsPairUnderLossAndDuplication) {
@@ -288,9 +316,21 @@ TEST(TraceCausality, FlowsPairUnderLossAndDuplication) {
   ASSERT_GT(run.result.messages_lost + run.result.messages_duplicated, 0u);
   // ...and every outcome still pairs with a minted send. FIFO is off:
   // duplicates legitimately overtake.
-  obs::CheckOptions co;
-  co.expect_fifo = false;
-  EXPECT_EQ(obs::CheckRecords(run.records, co), std::vector<std::string>{});
+  EXPECT_EQ(CheckTrace(run.records, /*expect_fifo=*/false),
+            std::vector<std::string>{});
+
+  // Pairing covers every outcome kind, not only deliveries.
+  for (auto kind : {TraceRecord::Kind::kLoss, TraceRecord::Kind::kDuplicate}) {
+    auto tampered = run.records;
+    TraceRecord* r = FirstOf(tampered, kind);
+    ASSERT_NE(r, nullptr) << sim::ToString(kind);
+    r->mid = 999999;
+    EXPECT_TRUE(Mentions(CheckTrace(tampered, false), "no matching send"))
+        << sim::ToString(kind);
+    r->mid = 0;
+    EXPECT_TRUE(Mentions(CheckTrace(tampered, false), "outcome without a mid"))
+        << sim::ToString(kind);
+  }
 }
 
 TEST(TraceCausality, TruncationIsSurfacedNeverSilent) {
@@ -499,7 +539,7 @@ TEST(ExplorerTrace, ReplayScheduleTracedMatchesUntraced) {
   ASSERT_FALSE(traced.records.empty());
   // Controlled schedules may reorder across links; FIFO stays on here
   // because the controller preserves per-link FIFO by construction.
-  EXPECT_EQ(obs::CheckRecords(traced.records), std::vector<std::string>{});
+  EXPECT_EQ(CheckTrace(traced.records), std::vector<std::string>{});
   std::string json = obs::ExportChromeTrace(traced.records);
   EXPECT_FALSE(obs::ValidateJson(json).has_value());
 }

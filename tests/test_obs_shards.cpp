@@ -13,6 +13,7 @@
 #include "celect/net/cluster.h"
 #include "celect/obs/shard.h"
 #include "celect/obs/trace_export.h"
+#include "celect/obs/trace_inspect.h"
 #include "celect/proto/nosod/fault_tolerant.h"
 
 namespace celect::obs {
@@ -224,6 +225,133 @@ TEST(CheckShardsTest, OrphanDeliveryNeedsAnIncompleteSender) {
   sender.complete = false;
   std::vector<TraceShard> gap = {sender, receiver};
   EXPECT_TRUE(CheckShards(gap).empty());
+}
+
+TEST(CheckShardsTest, EveryOutcomeKindPairsWithASend) {
+  // Drops, losses and duplicates carry their send's mid just as
+  // deliveries do; an unminted or missing mid on any of them is flagged.
+  // Only deliveries face the join and FIFO rules.
+  const TraceShard sender = SampleShard(0, 10, 1);
+  for (auto kind :
+       {sim::TraceRecord::Kind::kDrop, sim::TraceRecord::Kind::kLoss,
+        sim::TraceRecord::Kind::kDuplicate}) {
+    TraceShard receiver;
+    receiver.node = 1;
+    receiver.epoch = 20;
+    receiver.complete = true;
+    sim::TraceRecord o{};
+    o.kind = kind;
+    o.node = 1;
+    o.peer = 0;
+    o.mid = sender.records[0].mid;
+    receiver.records.push_back(o);
+    EXPECT_TRUE(CheckShards({sender, receiver}).empty()) << ToString(kind);
+
+    receiver.records[0].mid = 0xDEAD0001;
+    auto problems = CheckShards({sender, receiver});
+    ASSERT_EQ(problems.size(), 1u) << ToString(kind);
+    EXPECT_NE(problems[0].find("no matching send"), std::string::npos)
+        << problems[0];
+
+    receiver.records[0].mid = 0;
+    problems = CheckShards({sender, receiver});
+    ASSERT_EQ(problems.size(), 1u) << ToString(kind);
+    EXPECT_NE(problems[0].find("outcome without a mid"), std::string::npos)
+        << problems[0];
+  }
+}
+
+// --- strict parsing -----------------------------------------------------
+
+const char kRecordLine[] =
+    "7 recv at=-5 node=4294967295 peer=0 port=3 type=65535 "
+    "clock=18446744073709551615 mid=9 phase=doubling.-2";
+
+TEST(StrictParseTest, RejectsSignsAndOutOfRangeValues) {
+  std::string error;
+  ASSERT_TRUE(ParseRecordLine(kRecordLine, &error).has_value()) << error;
+  const char* const kRejected[] = {
+      // Wider than the field's type (NodeId/Port are uint32, type is
+      // uint16), or sign-prefixed.
+      "0 send at=0 node=4294967297 peer=1 port=1 type=1 clock=1 mid=1 "
+      "phase=none",
+      "0 send at=0 node=-1 peer=1 port=1 type=1 clock=1 mid=1 phase=none",
+      "0 send at=0 node=0 peer=1 port=1 type=70000 clock=1 mid=1 "
+      "phase=none",
+      "0 send at=+0 node=0 peer=1 port=1 type=1 clock=1 mid=1 phase=none",
+      // Spellings the serializer never writes.
+      "0 send at=-0 node=0 peer=1 port=1 type=1 clock=1 mid=1 phase=none",
+      "0 send at=0 node=07 peer=1 port=1 type=1 clock=1 mid=1 phase=none",
+      "0 send at=0 node=0 peer=1 port=1 type=1 clock=1 mid=1 "
+      "phase=capture1.0",
+      "0 send at=0  node=0 peer=1 port=1 type=1 clock=1 mid=1 phase=none",
+      "0 send at=0 node=0 peer=1 port=1 type=1 clock=1 mid=1 phase=none ",
+  };
+  for (const char* line : kRejected) {
+    EXPECT_FALSE(ParseRecordLine(line, &error).has_value()) << line;
+  }
+
+  const std::string signed_header =
+      "#shard v1 node=+4294967299 epoch=+7 complete=1 dropped=0 label=x\n"
+      "#metrics -\n#end shard\n";
+  EXPECT_FALSE(ParseShards(signed_header, &error).has_value());
+  EXPECT_FALSE(ParseShards("#shard v1 node=4294967296 epoch=7 complete=1 "
+                           "dropped=0 label=x\n#metrics -\n#end shard\n",
+                           &error)
+                   .has_value());
+
+  EXPECT_FALSE(MetricsRegistry::ParseCompact("c:a=+3").has_value());
+  const char* const kNonCanonical[] = {"c:b=1,a=2", "c:a=1,a=2", "c:a=01",
+                                      "h:x=0;0;0;0;",
+                                      "c:a=1  h:x=1;1;1;1;0:1"};
+  for (const char* compact : kNonCanonical) {
+    EXPECT_FALSE(MetricsRegistry::ParseCompact(compact).has_value())
+        << compact;
+  }
+}
+
+TEST(StrictParseTest, AcceptedLinesRoundTripByteForByte) {
+  // Every single-character edit within a line of canonical input either
+  // fails to parse or is itself canonical: whatever the parsers accept,
+  // the serializers write back unchanged.
+  const auto edits = [](const std::string& text) {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i <= text.size(); ++i) {
+      for (const char* ins : {"0", "1", "+", "-", " ", ".", ",", ":"}) {
+        out.push_back(text.substr(0, i) + ins + text.substr(i));
+      }
+      if (i < text.size() && text[i] != '\n') {
+        out.push_back(text.substr(0, i) + text.substr(i + 1));
+      }
+    }
+    return out;
+  };
+
+  std::size_t accepted = 0;
+  for (const std::string& line : edits(kRecordLine)) {
+    std::string error;
+    if (auto r = ParseRecordLine(line, &error)) {
+      ++accepted;
+      EXPECT_EQ(SerializeRecord(*r), line);
+    }
+  }
+  TraceShard shard = SampleShard(3, 77, 2);
+  Histogram h;
+  h.Add(5);
+  h.Add(900);
+  shard.metrics.MergeHistogram("rtt_us", h);
+  for (const std::string& text : edits(SerializeShard(shard))) {
+    std::string error;
+    if (auto parsed = ParseShards(text, &error)) {
+      ++accepted;
+      std::string back;
+      for (const TraceShard& s : *parsed) back += SerializeShard(s);
+      EXPECT_EQ(back, text);
+    }
+  }
+  // Digit edits and label edits keep lines canonical, so the check
+  // above is not vacuous.
+  EXPECT_GT(accepted, 100u);
 }
 
 ClusterConfig TracedConfig() {

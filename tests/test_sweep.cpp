@@ -66,11 +66,15 @@ TEST(ParallelFor, WorkerExceptionRethrownOnCaller) {
 TEST(ParallelFor, FailureShortCircuitsRemainingWork) {
   // After the throw, workers stop claiming indices: with the failure
   // planted at the front of the grid, far fewer than all indices run.
+  // Every other cell holds until the pool has recorded the failure, so
+  // the count does not depend on which thread wins the race: only the
+  // cells the three other workers had already claimed go on to run.
   std::atomic<int> ran{0};
   const std::size_t kCount = 10000;
   try {
     ParallelFor(kCount, 4, [&](std::size_t i) {
       if (i == 0) throw std::runtime_error("first cell");
+      while (!ParallelForFailed()) std::this_thread::yield();
       ran++;
     });
     FAIL() << "expected rethrow";
@@ -78,6 +82,7 @@ TEST(ParallelFor, FailureShortCircuitsRemainingWork) {
     EXPECT_STREQ(e.what(), "first cell");
   }
   EXPECT_LT(ran.load(), static_cast<int>(kCount) - 1);
+  EXPECT_LE(ran.load(), 3);
 }
 
 std::vector<SweepPoint> MakeDEpsilonGrid() {

@@ -6,12 +6,13 @@
 //   celect_trace convert IN.trace --out=OUT.json
 //       Compact -> Chrome trace-event / Perfetto JSON (ui.perfetto.dev).
 //   celect_trace check   IN.trace|IN.json [--fifo=0]
-//       Semantic validation of a compact trace (Lamport monotonicity,
-//       flow pairing, per-link FIFO), or a structural scan of an
-//       exported .json. Shard files (leading "#shard") get the
-//       cross-process checks: per-incarnation clock discipline, global
-//       mid uniqueness, send/deliver pairing across shards, per-session
-//       FIFO. Exit 1 on any problem.
+//       Semantic validation by the one trace checker (obs::CheckShards):
+//       per-incarnation Lamport discipline, global mid uniqueness,
+//       every outcome paired with its send, the delivery join rule,
+//       per-session FIFO. Shard files (leading "#shard") are checked as
+//       they are; a compact trace is checked as one complete shard per
+//       node, after its split confirms each outcome follows its send.
+//       An exported .json gets a structural scan. Exit 1 on any problem.
 //   celect_trace merge   SHARD... [--out=MERGED] [--perfetto=PATH]
 //       Folds per-process shard files into one canonical merged shard
 //       file (and optionally one Perfetto timeline with a track per
@@ -187,9 +188,9 @@ int CmdCheck(Flags& flags) {
   std::string text, error;
   if (!ReadFile(path, &text, &error)) return Fail(error);
 
-  // Exported documents get the structural JSON scan; shard files get
-  // the cross-process checks; everything else is parsed as a compact
-  // trace and checked semantically.
+  // Exported documents get the structural JSON scan; everything else
+  // goes through the shard checker — a compact trace as one shard per
+  // node.
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
     if (auto problem = obs::ValidateJson(text)) {
       return Fail(path + ": " + *problem);
@@ -197,30 +198,28 @@ int CmdCheck(Flags& flags) {
     std::cerr << path << ": well-formed JSON\n";
     return 0;
   }
+  std::vector<std::string> problems;
+  std::vector<obs::TraceShard> shards;
   if (text.compare(0, 6, "#shard") == 0) {
-    auto shards = obs::ParseShards(text, &error);
-    if (!shards) return Fail(path + ": " + error);
-    obs::ShardCheckOptions so;
-    so.expect_fifo = fifo;
-    std::vector<std::string> problems = obs::CheckShards(*shards, so);
-    for (const std::string& p : problems) {
-      std::cerr << path << ": " << p << "\n";
-    }
-    if (!problems.empty()) return 1;
-    std::size_t records = 0;
-    for (const auto& s : *shards) records += s.records.size();
-    std::cerr << path << ": " << shards->size() << " shards, " << records
-              << " records, coherent\n";
-    return 0;
+    auto parsed = obs::ParseShards(text, &error);
+    if (!parsed) return Fail(path + ": " + error);
+    shards = std::move(*parsed);
+  } else {
+    auto records = obs::ParseRecords(text, &error);
+    if (!records) return Fail(path + ": " + error);
+    shards = obs::ShardsFromRecords(*records, &problems);
   }
-  auto parsed = obs::ParseRecords(text, &error);
-  if (!parsed) return Fail(path + ": " + error);
-  obs::CheckOptions co;
-  co.expect_fifo = fifo;
-  std::vector<std::string> problems = obs::CheckRecords(*parsed, co);
-  for (const std::string& p : problems) std::cerr << path << ": " << p << "\n";
+  for (std::string& p : obs::CheckShards(shards, fifo)) {
+    problems.push_back(std::move(p));
+  }
+  for (const std::string& p : problems) {
+    std::cerr << path << ": " << p << "\n";
+  }
   if (!problems.empty()) return 1;
-  std::cerr << path << ": " << parsed->size() << " records, coherent\n";
+  std::size_t records = 0;
+  for (const auto& s : shards) records += s.records.size();
+  std::cerr << path << ": " << shards.size() << " shards, " << records
+            << " records, coherent\n";
   return 0;
 }
 
