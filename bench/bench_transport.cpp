@@ -37,17 +37,13 @@ struct Accum {
   Summary rtt_p99;
   std::uint32_t runs = 0;
   std::uint32_t failures = 0;
-  obs::Histogram rtt_us;
-  obs::Histogram backoff_us;
-  obs::Histogram window_occupancy;
-  obs::Histogram suspicion_us;
+  // Every run's transport figures; the histograms go to the document.
+  obs::MetricsRegistry metrics;
 
   void Fold(const net::ClusterResult& r, net::Micros unit_us) {
     ++runs;
-    rtt_us.Merge(r.rtt_us);
-    backoff_us.Merge(r.backoff_us);
-    window_occupancy.Merge(r.window_occupancy);
-    suspicion_us.Merge(r.suspicion_us);
+    const obs::MetricsRegistry m = r.metrics();
+    metrics.MergeFrom(m);
     if (!r.agreed) {
       ++failures;
       return;
@@ -55,18 +51,17 @@ struct Accum {
     messages.Add(static_cast<double>(r.delivered));
     time_units.Add(static_cast<double>(r.elapsed_us) /
                    static_cast<double>(unit_us));
-    retransmits += r.retransmits;
-    suspicions += r.suspicions;
+    retransmits += static_cast<std::uint64_t>(m.Counter("net.retransmits"));
+    suspicions += static_cast<std::uint64_t>(m.Counter("net.suspicions"));
     datagrams += r.datagrams;
     rtt_p50.Add(static_cast<double>(r.rtt_p50_us));
     rtt_p99.Add(static_cast<double>(r.rtt_p99_us));
   }
 
   void Publish(harness::BenchReporter& reporter) const {
-    reporter.MergeNamedHistogram("rtt_us", rtt_us);
-    reporter.MergeNamedHistogram("backoff_us", backoff_us);
-    reporter.MergeNamedHistogram("window_occupancy", window_occupancy);
-    reporter.MergeNamedHistogram("suspicion_us", suspicion_us);
+    for (const auto& [name, h] : metrics.histograms()) {
+      reporter.MergeNamedHistogram(name, h);
+    }
   }
 
   harness::BenchRow Row(const std::string& protocol, std::uint32_t n,

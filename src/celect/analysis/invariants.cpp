@@ -6,33 +6,33 @@
 namespace celect::analysis {
 
 namespace {
-// Readable-violation cap; tallies in Metrics keep counting past it.
+// Readable-violation cap; the registry's tallies keep counting past it.
 constexpr std::size_t kMaxRecorded = 64;
 }  // namespace
 
 void InvariantRegistry::Violate(const sim::RunInspect& in, const char* kind,
                                 std::string what) {
-  in.metrics->RecordInvariantViolation(kind);
+  in.CountViolation(kind);
   if (violations_.size() < kMaxRecorded) {
     violations_.push_back(std::string(kind) + ": " + std::move(what));
   }
 }
 
 void InvariantRegistry::CheckLeader(const sim::RunInspect& in) {
-  const sim::Metrics& m = *in.metrics;
-  if (opt_.unique_leader && m.leader_declarations() > 1 &&
+  const sim::RunLedger& l = *in.ledger;
+  if (opt_.unique_leader && l.leader_declarations > 1 &&
       !multiple_reported_) {
     multiple_reported_ = true;
     std::ostringstream os;
-    os << m.leader_declarations() << " leader declarations (last leader id "
-       << *m.leader_id() << ")";
+    os << l.leader_declarations << " leader declarations (last leader id "
+       << *l.leader_id << ")";
     Violate(in, kInvMultipleLeaders, os.str());
   }
-  if (opt_.leader_is_max_id && m.leader_declarations() > 0 &&
-      !max_id_reported_ && *m.leader_id() != expected_leader_) {
+  if (opt_.leader_is_max_id && l.leader_declarations > 0 &&
+      !max_id_reported_ && *l.leader_id != expected_leader_) {
     max_id_reported_ = true;
     std::ostringstream os;
-    os << "leader id " << *m.leader_id() << ", expected max id "
+    os << "leader id " << *l.leader_id << ", expected max id "
        << expected_leader_;
     Violate(in, kInvLeaderNotMaxId, os.str());
   }
@@ -85,10 +85,10 @@ void InvariantRegistry::CheckLease(sim::NodeId target,
 }
 
 void InvariantRegistry::CheckConservation(const sim::RunInspect& in) {
-  const sim::Metrics& m = *in.metrics;
-  const std::uint64_t sent = m.messages_sent() + m.messages_duplicated();
+  const sim::RunLedger& l = *in.ledger;
+  const std::uint64_t sent = l.sent + l.duplicated;
   const std::uint64_t accounted =
-      m.messages_delivered() + m.messages_dropped() + in.deliveries_inflight;
+      l.delivered + l.dropped + in.deliveries_inflight;
   if (sent != accounted) {
     std::ostringstream os;
     os << "sent+duplicated=" << sent << " but delivered+dropped+inflight="
@@ -143,7 +143,7 @@ void InvariantRegistry::AtQuiescence(const sim::RunInspect& in) {
     }
   }
   if (!opt_.quiescence_termination) return;
-  if (in.metrics->leader_declarations() == 0) {
+  if (in.ledger->leader_declarations == 0) {
     Violate(in, kInvNoTermination, "quiescent with no leader declared");
   }
   for (sim::NodeId i = 0; i < in.n; ++i) {

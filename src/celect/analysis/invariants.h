@@ -29,9 +29,8 @@
 //                      pursuit (quiescence implies termination).
 //
 // Violations are recorded as human-readable strings (capped) and as
-// per-cause tallies in the run's Metrics, surfacing in
-// RunResult::counters as "invariant.<kind>" — mirroring the per-cause
-// drop counters.
+// per-cause tallies "invariant.<kind>" in the run's metrics registry,
+// surfacing in RunResult::counters next to the per-cause drop counters.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +78,7 @@ class InvariantRegistry : public sim::RunObserver {
 
   bool ok() const { return violations_.empty(); }
   // First-N human-readable violations (every one is also tallied in the
-  // run's Metrics, even past the cap).
+  // run's metrics registry, even past the cap).
   const std::vector<std::string>& violations() const { return violations_; }
   // "; "-joined violations; empty string when the run was clean.
   std::string Summary() const;

@@ -13,7 +13,7 @@ constexpr std::size_t kMaxRecorded = 64;
 }  // namespace
 
 void LeaseMonitor::Violate(const sim::RunInspect& in, std::string what) {
-  in.metrics->RecordInvariantViolation(kInvReelectionOverdue);
+  in.CountViolation(kInvReelectionOverdue);
   if (violations_.size() < kMaxRecorded) {
     violations_.push_back(std::string(kInvReelectionOverdue) + ": " +
                           std::move(what));

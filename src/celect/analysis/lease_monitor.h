@@ -31,7 +31,7 @@
 //                    debugging (examples/churn_demo.cpp prints it).
 //
 // Violations are recorded like the registry's: human-readable strings
-// (capped) plus a Metrics tally surfacing as
+// (capped) plus a registry tally surfacing as
 // counters["invariant.reelection_overdue"]. An optional chained
 // observer lets the monitor stack with an InvariantRegistry on the
 // single RuntimeOptions::observer slot.

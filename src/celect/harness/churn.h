@@ -106,7 +106,7 @@ struct ChurnSweepResult {
   std::uint64_t messages_lost = 0;
   std::uint64_t elections_completed = 0;
   std::int64_t unavailable_ticks = 0;
-  // Lease lifecycle totals (sim::Metrics per-cause counters, summed).
+  // Lease lifecycle totals (the runs' lease.* counters, summed).
   std::uint64_t leases_granted = 0;
   std::uint64_t leases_renewed = 0;
   std::uint64_t leases_expired = 0;

@@ -49,7 +49,7 @@ struct RunOptions {
   // Trace record cap (RuntimeOptions::trace_cap); truncation surfaces as
   // counters["sim.trace_truncated"].
   std::size_t trace_cap = 10'000'000;
-  // Streaming histograms + samplers (RunResult::telemetry).
+  // Streaming histograms (RunResult::telemetry).
   bool enable_telemetry = false;
   std::uint64_t max_events = 500'000'000;
   // Run on the reference binary-heap event queue instead of the ladder

@@ -50,19 +50,12 @@ Agreement CheckAgreement(const NodeVec& nodes,
   return a;
 }
 
-void FoldStats(ClusterResult& r, const TransportStats& st) {
-  r.datagrams += st.datagrams_sent;
-  r.retransmits += st.sessions.data_retransmits;
-  r.suspicions += st.sessions.suspicions;
-  r.peer_restarts += st.sessions.peer_restarts;
-  r.delivered += st.sessions.delivered;
-  r.rtt_us.Merge(st.sessions.rtt_us);
-  r.backoff_us.Merge(st.sessions.backoff_us);
-  r.window_occupancy.Merge(st.sessions.window);
-  r.suspicion_us.Merge(st.sessions.suspicion_us);
-}
-
-void FillRtt(ClusterResult& r, std::vector<Micros>& samples) {
+// The fixed totals and RTT percentiles, once every transport is in.
+void Finish(ClusterResult& r, std::vector<Micros>& samples) {
+  for (const TransportStats& st : r.transports) {
+    r.datagrams += st.datagrams_sent;
+    r.delivered += st.sessions.delivered;
+  }
   if (samples.empty()) return;
   std::sort(samples.begin(), samples.end());
   r.rtt_p50_us = samples[samples.size() / 2];
@@ -70,6 +63,12 @@ void FillRtt(ClusterResult& r, std::vector<Micros>& samples) {
 }
 
 }  // namespace
+
+obs::MetricsRegistry ClusterResult::metrics() const {
+  obs::MetricsRegistry m;
+  for (const TransportStats& st : transports) RecordTransportStats(st, m);
+  return m;
+}
 
 ClusterResult RunSimElection(const ClusterConfig& config,
                              const sim::ProcessFactory& factory) {
@@ -120,7 +119,7 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     for (int b = 0; b < 8; ++b) {
       fp.Update(static_cast<std::uint8_t>(d >> (8 * b)));
     }
-    FoldStats(result, net.at(i).Stats());
+    result.transports.push_back(net.at(i).Stats());
     if (config.trace) result.shards.push_back(nodes[i]->MakeShard(survived));
   };
 
@@ -173,11 +172,10 @@ ClusterResult RunSimElection(const ClusterConfig& config,
   for (PeerId i = 0; i < config.n; ++i) {
     if (!alive[i]) continue;
     fold_node(i, /*survived=*/true);
-    auto st = net.at(i).Stats();
-    rtt.insert(rtt.end(), st.sessions.rtt_samples.begin(),
-               st.sessions.rtt_samples.end());
+    const SessionStats& st = result.transports.back().sessions;
+    rtt.insert(rtt.end(), st.rtt_samples.begin(), st.rtt_samples.end());
   }
-  FillRtt(result, rtt);
+  Finish(result, rtt);
   result.fingerprint = fp.Digest64();
   return result;
 }
@@ -232,13 +230,12 @@ std::optional<ClusterResult> RunUdpElection(
   result.elapsed_us = transports[0]->Now() - t0;
   std::vector<Micros> rtt;
   for (PeerId i = 0; i < config.n; ++i) {
-    auto st = transports[i]->Stats();
-    FoldStats(result, st);
+    result.transports.push_back(transports[i]->Stats());
     if (config.trace) result.shards.push_back(nodes[i]->MakeShard(true));
-    rtt.insert(rtt.end(), st.sessions.rtt_samples.begin(),
-               st.sessions.rtt_samples.end());
+    const SessionStats& st = result.transports.back().sessions;
+    rtt.insert(rtt.end(), st.rtt_samples.begin(), st.rtt_samples.end());
   }
-  FillRtt(result, rtt);
+  Finish(result, rtt);
   return result;
 }
 

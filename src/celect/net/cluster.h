@@ -53,10 +53,8 @@ struct ClusterResult {
   bool agreed = false;
   sim::Id leader = 0;
   Micros elapsed_us = 0;
+  // Datagrams sent and packets delivered, summed over `transports`.
   std::uint64_t datagrams = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t suspicions = 0;
-  std::uint64_t peer_restarts = 0;
   std::uint64_t delivered = 0;
   // Per-node event digests folded in node order — two runs of the same
   // sim config agree on this iff they dispatched identical event
@@ -65,14 +63,18 @@ struct ClusterResult {
   // RTT percentiles over never-retransmitted frames (0 when no samples).
   Micros rtt_p50_us = 0;
   Micros rtt_p99_us = 0;
-  // Session-layer distributions aggregated over every incarnation.
-  obs::Histogram rtt_us;
-  obs::Histogram backoff_us;
-  obs::Histogram window_occupancy;
-  obs::Histogram suspicion_us;
+  // Every incarnation's transport stats, in capture order (deaths
+  // first, then survivors in node order).
+  std::vector<TransportStats> transports;
   // One shard per node incarnation when ClusterConfig::trace is set,
-  // in capture order (deaths first, then survivors in node order).
+  // in the same order.
   std::vector<obs::TraceShard> shards;
+
+  // The transports' net.* counters and session-layer histograms
+  // (RecordTransportStats). Built on demand: the registry costs more
+  // than the election's own bookkeeping, and most callers read only
+  // the fields above.
+  obs::MetricsRegistry metrics() const;
 };
 
 ClusterResult RunSimElection(const ClusterConfig& config,

@@ -63,16 +63,34 @@ class PeerNode::Ctx final : public sim::Context {
     node_->Believe(node_->config_.id);
   }
 
+  // Protocol counters land in the node's registry as "proto.<name>".
   void AddCounter(std::string_view name, std::int64_t delta) override {
-    node_->counters_[std::string(name)] += delta;
+    AddCounter(ResolveCounter(name), delta);
   }
 
   void MaxCounter(std::string_view name, std::int64_t value) override {
-    auto& slot = node_->counters_[std::string(name)];
-    if (value > slot) slot = value;
+    MaxCounter(ResolveCounter(name), value);
+  }
+
+  sim::CounterRef ResolveCounter(std::string_view name) override {
+    return {name, node_->metrics_.Intern("proto." + std::string(name))};
+  }
+
+  void AddCounter(const sim::CounterRef& c, std::int64_t delta) override {
+    node_->metrics_.Add(Slot(c), delta);
+  }
+
+  void MaxCounter(const sim::CounterRef& c, std::int64_t value) override {
+    node_->metrics_.Max(Slot(c), value);
   }
 
  private:
+  // A ref from a context that does not intern falls back to the name.
+  obs::MetricsRegistry::Handle Slot(const sim::CounterRef& c) {
+    if (c.slot != sim::CounterRef::kUnresolved) return c.slot;
+    return ResolveCounter(c.name).slot;
+  }
+
   PeerNode* node_;
 };
 
@@ -253,30 +271,32 @@ void PeerNode::Pump() {
   if (leader_ && transport_.Now() >= next_announce_) Announce();
 }
 
-obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
-  obs::MetricsRegistry m;
-  for (const auto& [name, value] : counters_) {
-    if (value > 0) {
-      m.AddCounter("proto." + name, static_cast<std::uint64_t>(value));
-    }
-  }
-  m.AddCounter("node.events_dispatched", events_dispatched_);
-  m.AddCounter("node.suspicions_seen", suspicions_seen_);
-  m.AddCounter("node.trace_dropped", trace_dropped_);
-  TransportStats st = transport_.Stats();
-  m.AddCounter("net.datagrams_sent", st.datagrams_sent);
-  m.AddCounter("net.datagrams_received", st.datagrams_received);
-  m.AddCounter("net.retransmits", st.sessions.data_retransmits);
-  m.AddCounter("net.delivered", st.sessions.delivered);
-  m.AddCounter("net.suspicions", st.sessions.suspicions);
-  m.AddCounter("net.peer_restarts", st.sessions.peer_restarts);
-  m.AddCounter("net.version_mismatch", st.sessions.version_mismatch);
-  m.AddCounter("net.rtt_samples_dropped",
-               st.sessions.rtt_samples_dropped);
+void RecordTransportStats(const TransportStats& st,
+                          obs::MetricsRegistry& m) {
+  const auto count = [&m](const char* name, std::uint64_t v) {
+    m.Add(name, static_cast<std::int64_t>(v));
+  };
+  count("net.datagrams_sent", st.datagrams_sent);
+  count("net.datagrams_received", st.datagrams_received);
+  count("net.retransmits", st.sessions.data_retransmits);
+  count("net.delivered", st.sessions.delivered);
+  count("net.suspicions", st.sessions.suspicions);
+  count("net.peer_restarts", st.sessions.peer_restarts);
+  count("net.version_mismatch", st.sessions.version_mismatch);
+  count("net.rtt_samples_dropped", st.sessions.rtt_samples_dropped);
   m.MergeHistogram("rtt_us", st.sessions.rtt_us);
   m.MergeHistogram("backoff_us", st.sessions.backoff_us);
   m.MergeHistogram("window_occupancy", st.sessions.window);
   m.MergeHistogram("suspicion_us", st.sessions.suspicion_us);
+}
+
+obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
+  obs::MetricsRegistry m = metrics_;
+  m.Add("node.events_dispatched",
+        static_cast<std::int64_t>(events_dispatched_));
+  m.Add("node.suspicions_seen", static_cast<std::int64_t>(suspicions_seen_));
+  m.Add("node.trace_dropped", static_cast<std::int64_t>(trace_dropped_));
+  RecordTransportStats(transport_.Stats(), m);
   return m;
 }
 

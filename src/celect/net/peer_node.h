@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -56,6 +55,10 @@ struct PeerNodeConfig {
   std::size_t trace_cap = 200'000;
 };
 
+// Adds a transport's counters ("net.*") and session-layer histograms
+// (rtt_us, backoff_us, window_occupancy, suspicion_us) to `m`.
+void RecordTransportStats(const TransportStats& st, obs::MetricsRegistry& m);
+
 class PeerNode {
  public:
   PeerNode(const PeerNodeConfig& config, Transport& transport,
@@ -90,7 +93,8 @@ class PeerNode {
   // SIGKILLed victim leaves behind); complete=true an orderly exit.
   obs::TraceShard MakeShard(bool complete) const;
   // Counters + histograms spanning the protocol engine (Context
-  // counters) and the reliability layer (session stats).
+  // counters, as "proto.<name>"), the host ("node.*") and the
+  // reliability layer (RecordTransportStats).
   obs::MetricsRegistry SnapshotMetrics() const;
   const std::vector<sim::TraceRecord>& trace() const { return trace_; }
   std::uint64_t trace_dropped() const { return trace_dropped_; }
@@ -137,7 +141,9 @@ class PeerNode {
   wire::Fnv1aStream digest_;
   std::uint64_t events_dispatched_ = 0;
   std::uint64_t suspicions_seen_ = 0;
-  std::map<std::string, std::int64_t, std::less<>> counters_;
+  // Protocol counters ("proto.<name>"); SnapshotMetrics adds the
+  // node's and the transport's figures at export.
+  obs::MetricsRegistry metrics_;
 
   // Causal tracing: the node's Lamport clock (ticked on sends,
   // deliveries, wakeup, timer fires; deliveries join the sender's

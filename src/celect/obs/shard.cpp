@@ -88,107 +88,6 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   return out;
 }
 
-// --- MetricsRegistry ------------------------------------------------
-
-void MetricsRegistry::AddCounter(const std::string& name,
-                                 std::uint64_t delta) {
-  counters_[name] += delta;
-}
-
-void MetricsRegistry::MergeHistogram(const std::string& name,
-                                     const Histogram& h) {
-  if (h.count() == 0) return;
-  histograms_[name].Merge(h);
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& o) {
-  for (const auto& [name, v] : o.counters_) counters_[name] += v;
-  for (const auto& [name, h] : o.histograms_) MergeHistogram(name, h);
-}
-
-std::string MetricsRegistry::SerializeCompact() const {
-  if (Empty()) return "-";
-  std::ostringstream os;
-  bool wrote = false;
-  if (!counters_.empty()) {
-    os << "c:";
-    bool first = true;
-    for (const auto& [name, v] : counters_) {
-      if (!first) os << ",";
-      os << name << "=" << v;
-      first = false;
-    }
-    wrote = true;
-  }
-  if (!histograms_.empty()) {
-    if (wrote) os << " ";
-    os << "h:";
-    bool first = true;
-    for (const auto& [name, h] : histograms_) {
-      if (!first) os << ",";
-      os << name << "=" << h.count() << ";" << h.sum() << ";" << h.min()
-         << ";" << h.max() << ";";
-      const std::size_t used = h.BucketsUsed();
-      for (std::size_t b = 0; b < used; ++b) {
-        if (b > 0) os << ":";
-        os << h.buckets()[b];
-      }
-      first = false;
-    }
-  }
-  return os.str();
-}
-
-std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
-    const std::string& line) {
-  MetricsRegistry reg;
-  if (line == "-") return reg;
-  std::istringstream in(line);
-  std::string section;
-  while (in >> section) {
-    if (section.rfind("c:", 0) == 0) {
-      for (const std::string& item : SplitOn(section.substr(2), ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0) return std::nullopt;
-        const auto v = ParseField<std::uint64_t>(item.substr(eq + 1));
-        if (!v) return std::nullopt;
-        reg.counters_[item.substr(0, eq)] += *v;
-      }
-    } else if (section.rfind("h:", 0) == 0) {
-      for (const std::string& item : SplitOn(section.substr(2), ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0) return std::nullopt;
-        const std::string name = item.substr(0, eq);
-        const auto parts = SplitOn(item.substr(eq + 1), ';');
-        if (parts.size() != 5) return std::nullopt;
-        const auto count = ParseField<std::uint64_t>(parts[0]);
-        const auto sum = ParseField<std::uint64_t>(parts[1]);
-        const auto min = ParseField<std::uint64_t>(parts[2]);
-        const auto max = ParseField<std::uint64_t>(parts[3]);
-        if (!count || !sum || !min || !max) return std::nullopt;
-        std::vector<std::uint64_t> buckets;
-        if (!parts[4].empty()) {
-          for (const std::string& b : SplitOn(parts[4], ':')) {
-            const auto bv = ParseField<std::uint64_t>(b);
-            if (!bv) return std::nullopt;
-            buckets.push_back(*bv);
-          }
-        }
-        auto h = Histogram::FromParts(buckets, *count, *sum, *min, *max);
-        if (!h) return std::nullopt;
-        reg.MergeHistogram(name, *h);
-      }
-    } else {
-      return std::nullopt;
-    }
-  }
-  // Only the canonical spelling is accepted (sorted unique names, no
-  // empty histogram, no trailing zero bucket), so a snapshot
-  // round-trips byte for byte.
-  if (reg.SerializeCompact() != line) return std::nullopt;
-  return reg;
-}
-
 // --- shard serialization --------------------------------------------
 
 std::string SerializeShard(const TraceShard& shard) {
@@ -210,9 +109,9 @@ std::string SerializeShard(const TraceShard& shard) {
 std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
                                                    std::string* error) {
   std::vector<TraceShard> out;
+  // The block being read; `need_metrics` until its one #metrics line.
   std::optional<TraceShard> cur;
-  std::istringstream in(text);
-  std::string line;
+  bool need_metrics = false;
   std::size_t lineno = 0;
   const auto fail = [&](const std::string& why) {
     if (error) {
@@ -222,11 +121,20 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
     }
     return std::nullopt;
   };
-  while (std::getline(in, line)) {
+  // A block is exactly what SerializeShard writes: the header, one
+  // #metrics line, flight lines, records, "#end shard", each ended by a
+  // newline. Anything else fails, so every accepted block round-trips
+  // byte for byte.
+  for (std::size_t pos = 0; pos < text.size();) {
     ++lineno;
-    if (line.empty()) continue;
-    if (line.rfind("#shard ", 0) == 0) {
-      if (cur) return fail("shard not terminated before next '#shard'");
+    const std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) return fail("line without a newline");
+    const std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (!cur) {
+      if (line.rfind("#shard ", 0) != 0) {
+        return fail("content outside a '#shard' block");
+      }
       const std::size_t label_pos = line.find(" label=");
       if (label_pos == std::string::npos) {
         return fail("shard header missing label");
@@ -256,16 +164,21 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       s.dropped = *dropped_v;
       s.label = line.substr(label_pos + 7);
       cur = std::move(s);
+      need_metrics = true;
       continue;
     }
-    if (!cur) return fail("content outside a '#shard' block");
-    if (line.rfind("#metrics ", 0) == 0) {
+    if (need_metrics) {
+      if (line.rfind("#metrics ", 0) != 0) {
+        return fail("shard header not followed by its '#metrics' line");
+      }
       auto reg = MetricsRegistry::ParseCompact(line.substr(9));
       if (!reg) return fail("malformed metrics line");
       cur->metrics = std::move(*reg);
+      need_metrics = false;
       continue;
     }
     if (line.rfind("#flight ", 0) == 0) {
+      if (!cur->records.empty()) return fail("flight line after a record");
       const auto tok = SplitOn(line, ' ');
       if (tok.size() != 6) return fail("malformed flight line");
       const auto at = TakeField(tok[1], "at");
@@ -291,6 +204,10 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       out.push_back(std::move(*cur));
       cur.reset();
       continue;
+    }
+    if (line.rfind('#', 0) == 0) {
+      return fail("'" + line.substr(0, line.find(' ')) +
+                  "' line inside a shard block");
     }
     std::string why;
     auto r = ParseRecordLine(line, &why);
@@ -416,6 +333,7 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
     std::size_t shard;
     std::size_t idx;  // position within the sender's shard
     std::uint64_t clock;
+    sim::NodeId to;
   };
   std::unordered_map<std::uint64_t, SendRef> send_of;
 
@@ -433,7 +351,7 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
       if (r.kind == TraceRecord::Kind::kSend) {
         if (r.mid == 0) {
           problem(si, i, "send without a mid");
-        } else if (!send_of.emplace(r.mid, SendRef{si, i, r.clock})
+        } else if (!send_of.emplace(r.mid, SendRef{si, i, r.clock, r.peer})
                         .second) {
           problem(si, i, "mid minted twice across shards");
         }
@@ -454,10 +372,10 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
     }
   }
 
-  // Pass 2: every outcome pairs with a send; deliveries also obey the
-  // cross-shard join and per-session FIFO. A session is a (sender
-  // incarnation, receiver incarnation) pair; the reliable layer
-  // promises send-order delivery within it.
+  // Pass 2: every outcome pairs with a send between the same two nodes;
+  // deliveries also obey the cross-shard join and per-session FIFO. A
+  // session is a (sender incarnation, receiver incarnation) pair; the
+  // reliable layer promises send-order delivery within it.
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> fifo_last;
   for (std::size_t si = 0; si < shards.size(); ++si) {
     const TraceShard& shard = shards[si];
@@ -475,8 +393,12 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
         }
         continue;
       }
-      if (r.kind != TraceRecord::Kind::kDeliver) continue;
       const SendRef& s = it->second;
+      if (r.peer != shards[s.shard].node || r.node != s.to) {
+        problem(si, i, "outcome endpoints do not match its send");
+        continue;
+      }
+      if (r.kind != TraceRecord::Kind::kDeliver) continue;
       if (r.clock <= s.clock) {
         problem(si, i, "delivery clock does not exceed the send clock");
       }

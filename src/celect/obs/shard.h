@@ -19,12 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "celect/obs/telemetry.h"
+#include "celect/obs/metrics.h"
 #include "celect/sim/trace.h"
 
 namespace celect::obs {
@@ -86,42 +85,6 @@ class FlightRecorder {
   std::vector<FlightEvent> ring_;
 };
 
-// --- metrics registry -----------------------------------------------
-
-// Named counters + named power-of-two histograms with an associative,
-// commutative merge. One registry snapshot is one process's view; the
-// supervisor folds registries from every child (latest snapshot per
-// incarnation) into cluster-wide totals.
-class MetricsRegistry {
- public:
-  void AddCounter(const std::string& name, std::uint64_t delta);
-  void MergeHistogram(const std::string& name, const Histogram& h);
-  void MergeFrom(const MetricsRegistry& o);
-
-  bool Empty() const { return counters_.empty() && histograms_.empty(); }
-
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  // Single-line, whitespace-free wire form for shipping snapshots over
-  // a pipe: "c:name=v,... h:name=count;sum;min;max;b0:b1:...,...".
-  // Either section may be absent; an empty registry serializes to "-".
-  std::string SerializeCompact() const;
-  static std::optional<MetricsRegistry> ParseCompact(
-      const std::string& line);
-
-  friend bool operator==(const MetricsRegistry&,
-                         const MetricsRegistry&) = default;
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
-};
-
 // --- trace shards ---------------------------------------------------
 
 // One node incarnation's observability dump. `complete` is false for
@@ -141,8 +104,10 @@ struct TraceShard {
 std::string SerializeShard(const TraceShard& shard);
 
 // Parses one or more concatenated shards (a merged file is just the
-// canonical concatenation). nullopt on malformed input, with a
-// line-numbered message in *error.
+// canonical concatenation). Accepts only the blocks SerializeShard
+// writes, line order and the one #metrics line included, so parsing
+// and re-serializing gives back the same bytes. nullopt on malformed
+// input, with a line-numbered message in *error.
 std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
                                                    std::string* error);
 
@@ -188,7 +153,8 @@ std::vector<TraceShard> ShardsFromRecords(
 //   - global mid uniqueness (each mid minted by exactly one send
 //     across all shards),
 //   - outcome pairing (every deliver/drop/loss/duplicate carries a
-//     nonzero mid that some shard's send minted),
+//     nonzero mid that some shard's send minted, and that send went
+//     from the outcome's peer to the outcome's node),
 //   - the join rule (a delivery's clock exceeds the clock carried by
 //     the matching send in the sender's shard),
 //   - per-session FIFO when `expect_fifo`: for every (sender

@@ -42,6 +42,8 @@ std::optional<Histogram> Histogram::FromParts(
   Histogram h;
   std::uint64_t total = 0;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
+    // total <= count throughout, so the buckets cannot wrap the sum.
+    if (buckets[b] > count - total) return std::nullopt;
     h.counts_[b] = buckets[b];
     total += buckets[b];
   }
@@ -78,31 +80,11 @@ std::size_t Histogram::BucketsUsed() const {
   return 0;
 }
 
-TimeSeries::TimeSeries(std::size_t cap) : cap_(cap < 2 ? 2 : cap) {}
-
-void TimeSeries::Sample(std::int64_t at, std::int64_t value) {
-  if (seen_++ % stride_ != 0) return;
-  if (points_.size() == cap_) {
-    // Thin: keep every other point, double the stride.
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < points_.size(); r += 2) {
-      points_[w++] = points_[r];
-    }
-    points_.resize(w);
-    stride_ *= 2;
-    // The sample that triggered the thinning survives only if it still
-    // lands on the doubled stride.
-    if ((seen_ - 1) % stride_ != 0) return;
-  }
-  points_.push_back({at, value});
-}
-
 void Telemetry::Merge(const Telemetry& o) {
   latency.Merge(o.latency);
   queue_depth.Merge(o.queue_depth);
   capture_width.Merge(o.capture_width);
   election_latency.Merge(o.election_latency);
-  if (inflight.samples_seen() == 0) inflight = o.inflight;
 }
 
 }  // namespace celect::obs

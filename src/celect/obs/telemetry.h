@@ -1,12 +1,12 @@
-// Streaming telemetry: fixed-footprint histograms and time-series
-// samplers the runtime can feed on the hot path.
+// Streaming telemetry: fixed-footprint histograms the runtime can feed
+// on the hot path.
 //
 // Everything here is deterministic (a pure function of the event
 // schedule), integer-valued, and mergeable — sweeps reduce per-run
 // telemetry in grid order, so the merged histograms are identical for
 // any worker-thread count, and the bench JSON "histograms" section is
-// byte-stable per seed. Memory is O(1) per histogram (64 power-of-two
-// buckets) and O(cap) per time series, independent of run length.
+// byte-stable per seed. Memory is O(1) per histogram (65 power-of-two
+// buckets), independent of run length.
 #pragma once
 
 #include <array>
@@ -68,34 +68,6 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-// Bounded time series: records (t, value) pairs, and when the buffer
-// fills, drops every other retained point and doubles the sampling
-// stride. Deterministic for a deterministic input sequence; the kept
-// points always span the full run at uniform (power-of-two) stride.
-class TimeSeries {
- public:
-  struct Point {
-    std::int64_t at;  // sim ticks
-    std::int64_t value;
-    friend bool operator==(const Point&, const Point&) = default;
-  };
-
-  explicit TimeSeries(std::size_t cap = 512);
-
-  void Sample(std::int64_t at, std::int64_t value);
-
-  const std::vector<Point>& points() const { return points_; }
-  std::uint64_t samples_seen() const { return seen_; }
-
-  friend bool operator==(const TimeSeries&, const TimeSeries&) = default;
-
- private:
-  std::size_t cap_;
-  std::uint64_t stride_ = 1;  // keep every stride-th sample
-  std::uint64_t seen_ = 0;
-  std::vector<Point> points_;
-};
-
 // The runtime's telemetry bundle (RuntimeOptions::enable_telemetry).
 // Empty (all counts zero) when telemetry was off.
 struct Telemetry {
@@ -107,15 +79,11 @@ struct Telemetry {
   // one sample per completed re-election. Fed by the churn harness's
   // analysis::LeaseMonitor, not by the runtime — empty elsewhere.
   Histogram election_latency;
-  TimeSeries inflight;      // total deliveries in flight over sim time
 
   bool Empty() const {
     return latency.count() == 0 && queue_depth.count() == 0 &&
-           capture_width.count() == 0 && election_latency.count() == 0 &&
-           inflight.samples_seen() == 0;
+           capture_width.count() == 0 && election_latency.count() == 0;
   }
-  // Histograms accumulate; the inflight series keeps the first non-empty
-  // run (series from different seeds share no time axis).
   void Merge(const Telemetry& o);
 
   friend bool operator==(const Telemetry&, const Telemetry&) = default;

@@ -80,14 +80,19 @@ class Runtime::ContextImpl : public Context {
   }
 
   void DeclareLeader() override {
-    rt_.metrics_.RecordLeader(node_, id(), rt_.now_);
+    RunLedger& l = rt_.ledger_;
+    if (l.leader_declarations++ == 0) {
+      l.leader_node = node_;
+      l.leader_id = id();
+      l.leader_time = rt_.now_;
+    }
     rt_.TraceEvent(TraceRecord::Kind::kLeader, node_, node_, kInvalidPort,
                    0, 0);
     if (rt_.options_.stop_on_leader) rt_.stop_requested_ = true;
   }
 
   void RecordLease(LeaseEvent event) override {
-    rt_.metrics_.RecordLeaseEvent(event);
+    rt_.Count(rt_.lease_events_[static_cast<int>(event)]);
   }
 
   void BeginPhase(obs::PhaseId phase, std::int64_t level) override {
@@ -97,34 +102,32 @@ class Runtime::ContextImpl : public Context {
   void EndPhase(obs::PhaseId phase) override { rt_.EndPhase(node_, phase); }
 
   void AddCounter(std::string_view name, std::int64_t delta) override {
-    rt_.metrics_.AddCounter(name, delta);
+    rt_.metrics_.Add(name, delta);
   }
 
   void MaxCounter(std::string_view name, std::int64_t value) override {
-    rt_.metrics_.MaxCounter(name, value);
+    rt_.metrics_.Max(name, value);
   }
 
   CounterRef ResolveCounter(std::string_view name) override {
-    return CounterRef{name, rt_.metrics_.InternCounter(name)};
+    return CounterRef{name, rt_.metrics_.Intern(name)};
   }
 
   void AddCounter(const CounterRef& c, std::int64_t delta) override {
-    if (c.slot == CounterRef::kUnresolved) {
-      rt_.metrics_.AddCounter(c.name, delta);
-    } else {
-      rt_.metrics_.AddCounter(c.slot, delta);
-    }
+    rt_.metrics_.Add(Slot(c), delta);
   }
 
   void MaxCounter(const CounterRef& c, std::int64_t value) override {
-    if (c.slot == CounterRef::kUnresolved) {
-      rt_.metrics_.MaxCounter(c.name, value);
-    } else {
-      rt_.metrics_.MaxCounter(c.slot, value);
-    }
+    rt_.metrics_.Max(Slot(c), value);
   }
 
  private:
+  // A ref from a context that does not intern falls back to the name.
+  obs::MetricsRegistry::Handle Slot(const CounterRef& c) {
+    return c.slot == CounterRef::kUnresolved ? rt_.metrics_.Intern(c.name)
+                                             : c.slot;
+  }
+
   Runtime& rt_;
   NodeId node_;
 };
@@ -191,7 +194,7 @@ TimerId Runtime::ScheduleTimer(NodeId node, Time delay) {
   const EventTicket ticket =
       queue_.PushTicketed(now_ + delay, TimerEvent{node, id});
   active_timers_.emplace(id, TimerRec{node, ticket});
-  metrics_.RecordTimerSet();
+  ++ledger_.timers_set;
   TraceEvent(TraceRecord::Kind::kTimerSet, node, node, kInvalidPort, 0, id);
   return id;
 }
@@ -203,7 +206,7 @@ void Runtime::CancelTimer(NodeId node, TimerId timer) {
   // discarded below in Dispatch), but no longer counts as pending.
   queue_.Cancel(it->second.ticket);
   active_timers_.erase(it);
-  metrics_.RecordTimerCancelled();
+  Count(timers_cancelled_);
   TraceEvent(TraceRecord::Kind::kTimerCancel, node, node, kInvalidPort, 0,
              timer);
 }
@@ -211,7 +214,7 @@ void Runtime::CancelTimer(NodeId node, TimerId timer) {
 void Runtime::MarkCrashed(NodeId node) {
   if (failed_[node]) return;  // already dead; triggers fire at most once
   failed_[node] = true;
-  metrics_.RecordCrash();
+  ++ledger_.crashes;
   TraceEvent(TraceRecord::Kind::kCrash, node, node, kInvalidPort, 0, 0);
   // The node's timers die with it. Externally identical to the old
   // "discard at dispatch" rule (no metrics either way), but necessary
@@ -237,11 +240,23 @@ void Runtime::MarkRejoined(NodeId node) {
   // process instance; nothing of its previous life survives.
   processes_[node] = factory_(ProcessInit{node, ids_[node], config_.n});
   CELECT_CHECK(processes_[node] != nullptr);
-  metrics_.RecordRejoin();
+  Count(rejoins_);
   ++lamport_[node];
   TraceEvent(TraceRecord::Kind::kRejoin, node, node, kInvalidPort, 0, 0);
   ContextImpl ctx(*this, node);
   processes_[node]->OnRejoin(ctx);
+}
+
+void Runtime::Count(CounterRef& counter) {
+  if (counter.slot == CounterRef::kUnresolved) {
+    counter.slot = metrics_.Intern(counter.name);
+  }
+  metrics_.Add(counter.slot, 1);
+}
+
+void Runtime::Drop(CounterRef& cause) {
+  ++ledger_.dropped;
+  Count(cause);
 }
 
 void Runtime::TraceEvent(TraceRecord::Kind kind, NodeId node, NodeId peer,
@@ -318,7 +333,12 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
   } else {
     bytes = wire::EncodedSize(packet);
   }
-  metrics_.RecordSend(packet.type, bytes);
+  ++ledger_.sent;
+  ledger_.bytes += bytes;
+  if (packet.type >= ledger_.sent_by_type.size()) {
+    ledger_.sent_by_type.resize(packet.type + 1, 0);
+  }
+  ++ledger_.sent_by_type[packet.type];
   // Every send is a local Lamport event and mints a fresh message uid;
   // the kDeliver/kDrop/kLoss/kDuplicate outcomes all carry the same uid,
   // which is what makes trace flows pair exactly.
@@ -336,7 +356,7 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
   const bool crash_sender = injector_ && injector_->NoteSend(from);
 
   if (failed_[to]) {
-    metrics_.RecordDrop(DropCause::kCrashedDestination);
+    Drop(dropped_to_crashed_);
     TraceEvent(TraceRecord::Kind::kDrop, to, from, kInvalidPort,
                packet.type, mid);
   } else {
@@ -347,11 +367,11 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
     DelayDecision d = config_.delays->Decide(info);
     Admission adm = links_.AdmitWithFaults(link, from, to, now_, d);
     if (adm.lost) {
-      metrics_.RecordDrop(DropCause::kInjectedLoss);
+      Drop(dropped_to_loss_);
       TraceEvent(TraceRecord::Kind::kLoss, to, from, kInvalidPort,
                  packet.type, mid);
     } else {
-      if (adm.reordered) metrics_.RecordReorder();
+      if (adm.reordered) ++ledger_.reordered;
       Port arrival_port = mapper.PortToward(to, from);
       const auto mid32 = static_cast<std::uint32_t>(mid);
       const auto send_clock = static_cast<std::uint32_t>(lamport_[from]);
@@ -362,11 +382,11 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
         // The 32-bit field clips at ~4096 units of FIFO backlog. Rare,
         // but silence would quietly corrupt the latency histogram — make
         // it loud via counters["sim.latency_saturated"].
-        if (ticks > kCeiling) metrics_.RecordLatencySaturated();
+        if (ticks > kCeiling) Count(latency_saturated_);
         return static_cast<std::uint32_t>(std::min(ticks, kCeiling));
       };
       if (adm.duplicate_arrival) {
-        metrics_.RecordDuplicate();
+        ++ledger_.duplicated;
         TraceEvent(TraceRecord::Kind::kDuplicate, to, from, kInvalidPort,
                    packet.type, mid);
         queue_.Push(*adm.duplicate_arrival,
@@ -393,7 +413,7 @@ void Runtime::Dispatch(const Event& e) {
     if (active_timers_.erase(t->timer) == 0) return;  // cancelled
     if (failed_[t->node]) return;  // timers die with their node
     now_ = std::max(now_, e.at);
-    metrics_.RecordTimerFired();
+    ++ledger_.timers_fired;
     ++lamport_[t->node];
     TraceEvent(TraceRecord::Kind::kTimerFire, t->node, t->node,
                kInvalidPort, 0, t->timer);
@@ -423,7 +443,7 @@ void Runtime::Dispatch(const Event& e) {
     }
     links_.NotifyDelivered(d->from, d->to);
     if (failed_[d->to]) {
-      metrics_.RecordDrop(DropCause::kCrashedDestination);
+      Drop(dropped_to_crashed_);
       TraceEvent(TraceRecord::Kind::kDrop, d->to, d->from,
                  d->arrival_port, d->packet.type, d->mid);
       return;
@@ -433,13 +453,13 @@ void Runtime::Dispatch(const Event& e) {
     if (fate == FaultInjector::DeliveryFate::kCrashBeforeProcessing) {
       // Mid-handshake death: the node dies with the message unread.
       MarkCrashed(d->to);
-      metrics_.RecordDrop(DropCause::kCrashedDestination);
+      Drop(dropped_to_crashed_);
       TraceEvent(TraceRecord::Kind::kDrop, d->to, d->from,
                  d->arrival_port, d->packet.type, d->mid);
       return;
     }
     config_.mapper->MarkTraversed(d->to, d->arrival_port);
-    metrics_.RecordDelivery();
+    ++ledger_.delivered;
     // A processed delivery joins the sender's send-time clock: the
     // Lamport rule max(local, sender) + 1. Unprocessed drops above do
     // not advance the clock — only protocol-visible events do.
@@ -450,8 +470,6 @@ void Runtime::Dispatch(const Event& e) {
     if (telemetry_) {
       telemetry_->latency.Add(d->latency_ticks);
       telemetry_->queue_depth.Add(pending_deliveries_[d->to]);
-      telemetry_->inflight.Sample(
-          now_.ticks(), static_cast<std::int64_t>(deliveries_inflight_));
     }
     ContextImpl ctx(*this, d->to);
     processes_[d->to]->OnMessage(ctx, d->arrival_port, d->packet);
@@ -473,6 +491,7 @@ RunInspect Runtime::MakeInspect() {
   in.ids = &ids_;
   in.failed = &failed_;
   in.processes = processes_.data();
+  in.ledger = &ledger_;
   in.metrics = &metrics_;
   in.now = now_;
   in.deliveries_inflight = deliveries_inflight_;
@@ -576,7 +595,7 @@ RunResult Runtime::Run() {
       if (!e) break;
       CELECT_CHECK(++events <= options_.max_events)
           << "event budget exceeded — protocol is not quiescing "
-          << "(messages so far: " << metrics_.messages_sent() << ")";
+          << "(messages so far: " << ledger_.sent << ")";
       Dispatch(*e);
       NotifyObserver(*e);
     }
@@ -591,71 +610,52 @@ RunResult Runtime::Run() {
   for (NodeId node = 0; node < config_.n; ++node) {
     while (!phase_stack_[node].empty()) CloseTopPhase(node);
   }
-  metrics_.RecordWallClock(WallClockNowNs() - wall_start, events);
+  const std::uint64_t wall_ns = WallClockNowNs() - wall_start;
+  if (trace_.truncated()) {
+    // A capped trace must be loud: the counter rides into harness tables
+    // and fingerprints, and the warning tells an interactive user that
+    // the exported trace is a prefix.
+    metrics_.Add("sim.trace_truncated",
+                 static_cast<std::int64_t>(trace_.dropped()));
+    std::cerr << "[celect] warning: trace truncated — " << trace_.dropped()
+              << " records past the cap of " << options_.trace_cap
+              << " were dropped; raise RuntimeOptions::trace_cap\n";
+  }
 
   RunResult r;
-  r.leader_id = metrics_.leader_id();
-  r.leader_node = metrics_.leader_node();
-  r.leader_declarations = metrics_.leader_declarations();
-  r.leader_time = metrics_.first_leader_time();
+  r.leader_id = ledger_.leader_id;
+  r.leader_node = ledger_.leader_node;
+  r.leader_declarations = ledger_.leader_declarations;
+  r.leader_time = ledger_.leader_time;
   r.quiesce_time = now_;
-  r.total_messages = metrics_.messages_sent();
-  r.total_bytes = metrics_.bytes_sent();
+  r.total_messages = ledger_.sent;
+  r.total_bytes = ledger_.bytes;
   r.events_processed = events;
   r.max_link_load = links_.MaxLinkLoad();
   r.max_link_inflight = links_.MaxLinkInflight();
-  r.faults_injected = metrics_.crashes_injected();
-  r.messages_lost = metrics_.dropped_to_loss();
-  r.messages_duplicated = metrics_.messages_duplicated();
-  r.messages_reordered = metrics_.messages_reordered();
-  r.timers_set = metrics_.timers_set();
-  r.timers_fired = metrics_.timers_fired();
-  r.invariant_violations = metrics_.invariant_violations();
-  r.wall_ns = metrics_.wall_ns();
-  r.events_per_sec = metrics_.events_per_sec();
+  r.faults_injected = ledger_.crashes;
+  r.messages_lost =
+      static_cast<std::uint64_t>(metrics_.Counter(dropped_to_loss_.name));
+  r.messages_duplicated = ledger_.duplicated;
+  r.messages_reordered = ledger_.reordered;
+  r.timers_set = ledger_.timers_set;
+  r.timers_fired = ledger_.timers_fired;
+  r.wall_ns = wall_ns;
+  r.events_per_sec = wall_ns > 0 ? static_cast<double>(events) * 1e9 /
+                                       static_cast<double>(wall_ns)
+                                 : 0.0;
   r.aborted_by_controller = aborted_by_controller_;
-  r.messages_by_type = metrics_.by_type();
+  for (std::size_t t = 0; t < ledger_.sent_by_type.size(); ++t) {
+    if (ledger_.sent_by_type[t] > 0) {
+      r.messages_by_type.emplace(static_cast<std::uint16_t>(t),
+                                 ledger_.sent_by_type[t]);
+    }
+  }
   r.counters = metrics_.counters();
-  // Per-cause drop counters ride in the generic counter map so harness
-  // tables and fingerprints pick them up without schema changes.
-  if (metrics_.dropped_to_crashed() > 0) {
-    r.counters["sim.dropped_to_crashed"] =
-        static_cast<std::int64_t>(metrics_.dropped_to_crashed());
-  }
-  if (metrics_.dropped_to_loss() > 0) {
-    r.counters["sim.dropped_to_loss"] =
-        static_cast<std::int64_t>(metrics_.dropped_to_loss());
-  }
-  if (metrics_.rejoins() > 0) {
-    r.counters["sim.rejoins"] =
-        static_cast<std::int64_t>(metrics_.rejoins());
-  }
-  if (metrics_.timers_cancelled() > 0) {
-    r.counters["sim.timers_cancelled"] =
-        static_cast<std::int64_t>(metrics_.timers_cancelled());
-  }
-  // Clipped DeliveryEvent::latency_ticks fields: absent on healthy runs,
-  // loud when a backlog outgrew the 32-bit latency range.
-  if (metrics_.latency_saturated() > 0) {
-    r.counters["sim.latency_saturated"] =
-        static_cast<std::int64_t>(metrics_.latency_saturated());
-  }
-  // Per-cause lease counters ride the counter map like the drop causes:
-  // absent on lease-free runs, so fingerprints of existing workloads are
-  // untouched.
-  const std::pair<const char*, std::uint64_t> lease_counters[] = {
-      {"lease.granted", metrics_.leases_granted()},
-      {"lease.renewed", metrics_.leases_renewed()},
-      {"lease.expired", metrics_.leases_expired()},
-      {"lease.revoked", metrics_.leases_revoked()},
-  };
-  for (const auto& [name, count] : lease_counters) {
-    if (count > 0) r.counters[name] = static_cast<std::int64_t>(count);
-  }
-  // Per-cause invariant violations ride the counter map too, so harness
-  // tables and fingerprints surface them without schema changes.
-  for (const auto& [kind, count] : metrics_.invariant_violations_by_kind()) {
-    r.counters["invariant." + kind] = static_cast<std::int64_t>(count);
+  for (const auto& [name, count] : r.counters) {
+    if (name.starts_with(kInvariantCounterPrefix)) {
+      r.invariant_violations += static_cast<std::uint64_t>(count);
+    }
   }
   for (const auto& [key, agg] : phase_agg_) {
     r.phases.emplace(
@@ -663,16 +663,6 @@ RunResult Runtime::Run() {
         agg);
   }
   if (telemetry_) r.telemetry = *telemetry_;
-  if (trace_.truncated()) {
-    // A capped trace must be loud: the counter rides into harness tables
-    // and fingerprints, and the warning tells an interactive user that
-    // the exported trace is a prefix.
-    r.counters["sim.trace_truncated"] =
-        static_cast<std::int64_t>(trace_.dropped());
-    std::cerr << "[celect] warning: trace truncated — " << trace_.dropped()
-              << " records past the cap of " << options_.trace_cap
-              << " were dropped; raise RuntimeOptions::trace_cap\n";
-  }
   return r;
 }
 

@@ -35,7 +35,6 @@
 #include "celect/sim/heap_event_queue.h"
 #include "celect/sim/hooks.h"
 #include "celect/sim/link.h"
-#include "celect/sim/metrics.h"
 #include "celect/sim/network.h"
 #include "celect/sim/process.h"
 #include "celect/sim/trace.h"
@@ -49,9 +48,9 @@ struct RuntimeOptions {
   // Trace record cap; past it records are dropped, Trace::truncated()
   // trips, and the run surfaces counters["sim.trace_truncated"].
   std::size_t trace_cap = 10'000'000;
-  // Streaming histograms + time-series samplers (obs/telemetry.h):
-  // delivery latency, per-node queue depth, capture-span width, global
-  // in-flight series. Off by default — zero work on the hot path.
+  // Streaming histograms (obs/telemetry.h): delivery latency, per-node
+  // queue depth, capture-span width. Off by default — zero work on the
+  // hot path.
   bool enable_telemetry = false;
   // When true, every packet is encoded and re-decoded through the wire
   // codec (full serialisation validation). Off by default: byte sizes
@@ -105,6 +104,10 @@ struct RunResult {
   // drain; quiescence checks were skipped).
   bool aborted_by_controller = false;
   std::map<std::uint16_t, std::uint64_t> messages_by_type;
+  // Every touched counter of the run's registry, by name: protocol
+  // counters, sim.* fault tallies, lease.* lifecycle events and
+  // invariant.<kind> violations. A counter is absent until something
+  // records to it, so fault-free runs carry none of the sim.* names.
   std::map<std::string, std::int64_t> counters;
   // Per-phase message/time table keyed by obs::PhaseKey ("capture1",
   // "doubling.3", ...). Populated from Context::BeginPhase/EndPhase
@@ -128,7 +131,6 @@ class Runtime {
   RunResult Run();
 
   // Introspection (valid after Run).
-  const Metrics& metrics() const { return metrics_; }
   const Trace& trace() const { return trace_; }
   const NetworkConfig& config() const { return config_; }
   // failed[address] after the run: initial failures plus every mid-run
@@ -155,6 +157,12 @@ class Runtime {
   void SendFrom(NodeId from, Port port, wire::Packet packet);
   TimerId ScheduleTimer(NodeId node, Time delay);
   void CancelTimer(NodeId node, TimerId timer);
+  // Bumps a runtime-owned registry counter. Its name resolves on first
+  // use, so the constructor does no name lookup and later events none.
+  void Count(CounterRef& counter);
+  // A message that never reached its process: the ledger's total plus
+  // the per-cause counter.
+  void Drop(CounterRef& cause);
   void MarkCrashed(NodeId node);
   void MarkRejoined(NodeId node);
   void BeginPhase(NodeId node, obs::PhaseId phase, std::int64_t level);
@@ -174,7 +182,20 @@ class Runtime {
   std::vector<Id> ids_;
   DualQueue queue_;
   LinkTable links_;
-  Metrics metrics_;
+  RunLedger ledger_;
+  obs::MetricsRegistry metrics_;
+  // The runtime's own registry counters, resolved on first use.
+  CounterRef dropped_to_crashed_{"sim.dropped_to_crashed"};
+  CounterRef dropped_to_loss_{"sim.dropped_to_loss"};
+  CounterRef rejoins_{"sim.rejoins"};
+  CounterRef timers_cancelled_{"sim.timers_cancelled"};
+  // A DeliveryEvent's 32-bit latency field clipped at its ceiling, so
+  // the telemetry histogram under-reports that delivery.
+  CounterRef latency_saturated_{"sim.latency_saturated"};
+  // Indexed by LeaseEvent.
+  CounterRef lease_events_[kLeaseEventCount] = {
+      {"lease.granted"}, {"lease.renewed"}, {"lease.expired"},
+      {"lease.revoked"}};
   Trace trace_;
   Time now_ = Time::Zero();
   bool ran_ = false;

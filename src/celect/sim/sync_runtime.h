@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "celect/sim/metrics.h"
 #include "celect/sim/port_mapper.h"
 #include "celect/sim/types.h"
 #include "celect/wire/packet.h"

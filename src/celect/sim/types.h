@@ -26,9 +26,10 @@ using TimerId = std::uint64_t;
 
 inline constexpr TimerId kInvalidTimer = 0;
 
-// Why a lease-event counter ticked (Context::RecordLease). Mirrors
-// DropCause: a per-cause breakdown of the lease lifecycle so chaos
-// tables can tell a healthy renewal cadence from an expiry storm.
+// Why a lease-event counter ticked (Context::RecordLease). Like the
+// per-cause drop counters, a per-cause breakdown of the lease
+// lifecycle, so chaos tables can tell a healthy renewal cadence from an
+// expiry storm.
 enum class LeaseEvent {
   kGranted,  // a new lease was acquired (quorum acked a grant)
   kRenewed,  // the holder extended its lease before expiry

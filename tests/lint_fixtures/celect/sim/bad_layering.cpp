@@ -1,5 +1,5 @@
 // Lint fixture: layering — sim must never include the harness layer.
 #include "celect/harness/experiment.h"
-#include "celect/sim/metrics.h"
+#include "celect/sim/types.h"
 
 namespace celect::sim {}

@@ -27,7 +27,7 @@ std::vector<std::string> Keys(const LintResult& r) {
 
 TEST(LintFixtures, EveryRuleFiresExactlyOnItsFixtureLine) {
   LintResult r = LintTree(CELECT_LINT_FIXTURES);
-  EXPECT_EQ(r.files_scanned, 10u);
+  EXPECT_EQ(r.files_scanned, 8u);
   const std::vector<std::string> expected = {
       "celect/proto/bad_engine.cpp:7 proto-observe error",
       "celect/proto/bad_engine.cpp:7 proto-phase-spans error",
@@ -47,11 +47,10 @@ TEST(LintFixtures, EveryRuleFiresExactlyOnItsFixtureLine) {
       "celect/sim/bad_unordered.cpp:13 no-unordered-iteration error",
       "celect/sim/bad_wallclock.cpp:8 no-wall-clock error",
       "celect/sim/bad_wallclock.cpp:9 no-wall-clock error",
-      "celect/sim/metrics.h:9 metrics-surfaced error",
   };
   EXPECT_EQ(Keys(r), expected);
   EXPECT_TRUE(r.HasErrors());
-  EXPECT_EQ(r.ErrorCount(), 18u);
+  EXPECT_EQ(r.ErrorCount(), 17u);
   EXPECT_EQ(r.WarningCount(), 1u);
 }
 
@@ -68,15 +67,12 @@ TEST(LintFixtures, JustifiedSuppressionSilencesTheNextLine) {
   }
 }
 
-// The negative halves of the contract rules: kPing (handler + send
-// site) and live_counter() (consumed by the harness emitter) must NOT
-// be reported.
+// The negative half of the packet-arms rule: kPing (handler + send
+// site) must NOT be reported.
 TEST(LintFixtures, SatisfiedContractsStayQuiet) {
   LintResult r = LintTree(CELECT_LINT_FIXTURES);
   for (const Finding& f : r.findings) {
     EXPECT_EQ(f.message.find("kPing"), std::string::npos)
-        << FormatFinding(f);
-    EXPECT_EQ(f.message.find("live_counter"), std::string::npos)
         << FormatFinding(f);
   }
 }
@@ -123,7 +119,7 @@ TEST(LintRules, EveryFamilyIsRegistered) {
   for (const char* id :
        {"no-wall-clock", "no-unseeded-rng", "no-unordered-iteration",
         "no-pointer-keys", "proto-observe", "proto-phase-spans",
-        "proto-packet-arms", "metrics-surfaced", "layering",
+        "proto-packet-arms", "layering",
         "bad-suppression", "unused-suppression"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
   }

@@ -54,7 +54,7 @@ TEST(NetCluster, ElectionSurvivesLossyReorderingLinks) {
   ClusterResult result = RunSimElection(config, MakeFaultTolerant(1));
   ASSERT_TRUE(result.agreed) << "election wedged under chaos links";
   EXPECT_NE(result.leader, 0);
-  EXPECT_GT(result.retransmits, 0u)
+  EXPECT_GT(result.metrics().Counter("net.retransmits"), 0)
       << "10% loss must have forced retransmissions";
 }
 
@@ -93,7 +93,7 @@ TEST(NetCluster, DeadPeerRaisesSuspicionsAndElectionCompletes) {
   config.chaos = {{4'000, 1, ChaosEvent::What::kKill}};
   ClusterResult result = RunSimElection(config, MakeFaultTolerant(1));
   ASSERT_TRUE(result.agreed);
-  EXPECT_GT(result.suspicions, 0u)
+  EXPECT_GT(result.metrics().Counter("net.suspicions"), 0)
       << "talking to a dead peer must exhaust retransmits into suspicion";
 }
 
@@ -109,7 +109,7 @@ TEST(NetCluster, RestartedPeerIsDetectedViaEpochChange) {
   };
   ClusterResult result = RunSimElection(config, MakeFaultTolerant(1));
   ASSERT_TRUE(result.agreed);
-  EXPECT_GT(result.peer_restarts, 0u)
+  EXPECT_GT(result.metrics().Counter("net.peer_restarts"), 0)
       << "the revived node's fresh epoch must be noticed by its peers";
 }
 

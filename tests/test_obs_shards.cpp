@@ -7,14 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "celect/harness/experiment.h"
 #include "celect/net/cluster.h"
+#include "celect/obs/fields.h"
 #include "celect/obs/shard.h"
 #include "celect/obs/trace_export.h"
 #include "celect/obs/trace_inspect.h"
 #include "celect/proto/nosod/fault_tolerant.h"
+#include "celect/proto/sod/protocol_c.h"
+#include "celect/util/rng.h"
 
 namespace celect::obs {
 namespace {
@@ -52,19 +58,48 @@ TEST(FlightRecorderTest, PartialFillSnapshotsInOrder) {
 }
 
 TEST(MetricsRegistryTest, CompactRoundTrip) {
+  // Recorded out of name order, through handles and names alike; a
+  // zero still counts as recorded. The expected line is the wire form
+  // distributed_demo's children have always piped up.
   MetricsRegistry m;
-  m.AddCounter("net.delivered", 123);
-  m.AddCounter("proto.f.broadcasters", 1);
+  const MetricsRegistry::Handle broadcasters =
+      m.Intern("proto.f.broadcasters");
+  m.Add("net.delivered", 100);
+  m.Add(broadcasters, 1);
+  m.Add("node.trace_dropped", 0);
+  m.Add("net.delivered", 23);
+  m.Intern("never.recorded");
   Histogram h;
   h.Add(3);
   h.Add(900);
   m.MergeHistogram("rtt_us", h);
-  std::string wire = m.SerializeCompact();
-  EXPECT_NE(wire.find("c:"), std::string::npos) << wire;
-  EXPECT_NE(wire.find(" h:"), std::string::npos) << wire;
+  Histogram backoff;
+  backoff.Add(87127);
+  m.MergeHistogram("backoff_us", backoff);
+  const std::string wire = m.SerializeCompact();
+  EXPECT_EQ(wire,
+            "c:net.delivered=123,node.trace_dropped=0,proto.f.broadcasters=1"
+            " h:backoff_us=1;87127;87127;87127;"
+            "0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:1,"
+            "rtt_us=2;903;3;900;0:0:1:0:0:0:0:0:0:0:1");
   auto back = MetricsRegistry::ParseCompact(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, m);
+  EXPECT_EQ(back->SerializeCompact(), wire);
+}
+
+TEST(MetricsRegistryTest, SignedValuesAndRunningMax) {
+  MetricsRegistry m;
+  m.Max("gauge", -5);  // the first record sets the cell outright
+  m.Max("gauge", -9);
+  EXPECT_EQ(m.Counter("gauge"), -5);
+  m.Max("gauge", 4);
+  m.Add("debt", -3);
+  EXPECT_EQ(m.SerializeCompact(), "c:debt=-3,gauge=4");
+  auto back = MetricsRegistry::ParseCompact("c:debt=-3,gauge=4");
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, m);
+  EXPECT_EQ(m.Counter("absent"), 0);
 }
 
 TEST(MetricsRegistryTest, EmptyRegistrySerializesToDash) {
@@ -77,12 +112,12 @@ TEST(MetricsRegistryTest, EmptyRegistrySerializesToDash) {
 
 TEST(MetricsRegistryTest, MergeIsCommutative) {
   MetricsRegistry a, b;
-  a.AddCounter("x", 1);
+  a.Add("x", 1);
   Histogram ha;
   ha.Add(10);
   a.MergeHistogram("h", ha);
-  b.AddCounter("x", 2);
-  b.AddCounter("y", 5);
+  b.Add("x", 2);
+  b.Add("y", 5);
   Histogram hb;
   hb.Add(1000);
   b.MergeHistogram("h", hb);
@@ -91,7 +126,141 @@ TEST(MetricsRegistryTest, MergeIsCommutative) {
   MetricsRegistry ba = b;
   ba.MergeFrom(a);
   EXPECT_EQ(ab, ba);
-  EXPECT_EQ(ab.counters().at("x"), 3u);
+  EXPECT_EQ(ab.Counter("x"), 3);
+}
+
+// --- seeded mutational fuzzing of the registry's parsers ---------------
+//
+// A fixed budget, so it runs in every ctest pass and under the
+// sanitizer build. Mutations: bit flips, byte insertions, splices of
+// two corpus lines, numbers swapped for range boundaries, and
+// truncation at every offset.
+
+std::vector<std::string> CompactCorpus() {
+  MetricsRegistry counters;
+  counters.Add("net.delivered", 123);
+  counters.Add("proto.f.broadcasters", 1);
+  counters.Add("sim.low", std::numeric_limits<std::int64_t>::min());
+  counters.Add("sim.high", std::numeric_limits<std::int64_t>::max());
+  counters.Add("z", 0);
+  MetricsRegistry histograms;
+  Histogram h;
+  for (std::uint64_t v : {0u, 1u, 3u, 900u, 65536u}) h.Add(v);
+  histograms.MergeHistogram("rtt_us", h);
+  Histogram wide;
+  wide.Add(std::numeric_limits<std::uint64_t>::max());
+  histograms.MergeHistogram("wide", wide);
+  MetricsRegistry both = counters;
+  both.MergeFrom(histograms);
+  return {"-", counters.SerializeCompact(), histograms.SerializeCompact(),
+          both.SerializeCompact()};
+}
+
+std::string Mutate(Rng& rng, const std::vector<std::string>& corpus) {
+  std::string s = corpus[rng.NextBelow(corpus.size())];
+  const auto at = [&rng](const std::string& t) {
+    return static_cast<std::size_t>(rng.NextBelow(t.size() + 1));
+  };
+  switch (rng.NextBelow(4)) {
+    case 0:  // bit flip
+      if (!s.empty()) {
+        s[rng.NextBelow(s.size())] ^= static_cast<char>(1 << rng.NextBelow(8));
+      }
+      break;
+    case 1: {  // insert a byte of the format's alphabet, or any byte
+      static const std::string kAlphabet = "0123456789-+=,;: ch";
+      const char c = rng.NextBool()
+                         ? kAlphabet[rng.NextBelow(kAlphabet.size())]
+                         : static_cast<char>(rng.NextBelow(256));
+      s.insert(at(s), 1, c);
+      break;
+    }
+    case 2: {  // splice: a prefix of s, a suffix of another line
+      const std::string& o = corpus[rng.NextBelow(corpus.size())];
+      s = s.substr(0, at(s)) + o.substr(at(o));
+      break;
+    }
+    default: {  // replace one number with a range boundary
+      static const char* const kBounds[] = {
+          "0", "1", "-1", "9223372036854775807", "9223372036854775808",
+          "-9223372036854775808", "18446744073709551615",
+          "18446744073709551616", "65", "66"};
+      const std::size_t b = s.find_first_of("0123456789", at(s));
+      if (b == std::string::npos) break;
+      const std::size_t e = s.find_first_not_of("0123456789", b);
+      s.replace(b, e == std::string::npos ? std::string::npos : e - b,
+                kBounds[rng.NextBelow(std::size(kBounds))]);
+      break;
+    }
+  }
+  return s;
+}
+
+TEST(MetricsRegistryFuzzTest, AcceptedCompactLinesRoundTrip) {
+  const std::vector<std::string> corpus = CompactCorpus();
+  std::size_t accepted = 0;
+  const auto check = [&accepted](const std::string& line) {
+    if (auto reg = MetricsRegistry::ParseCompact(line)) {
+      ++accepted;
+      EXPECT_EQ(reg->SerializeCompact(), line);
+    }
+  };
+  for (const std::string& line : corpus) {
+    for (std::size_t i = 0; i <= line.size(); ++i) check(line.substr(0, i));
+  }
+  Rng rng(1717);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string s = Mutate(rng, corpus);
+    // Stack a second mutation on a quarter of the inputs.
+    if (rng.NextBelow(4) == 0) s = Mutate(rng, {s});
+    check(s);
+  }
+  // Digit flips and in-range boundaries stay canonical: not vacuous.
+  EXPECT_GT(accepted, 1000u);
+}
+
+TEST(MetricsRegistryFuzzTest, HistogramFromPartsRoundTripsThroughCompact) {
+  Rng rng(4242);
+  std::size_t accepted = 0;
+  const auto value = [&rng]() -> std::uint64_t {
+    switch (rng.NextBelow(4)) {
+      case 0: return 0;
+      case 1: return rng.NextBelow(8);
+      case 2:
+        return std::numeric_limits<std::uint64_t>::max() - rng.NextBelow(2);
+      default: return rng.Next();
+    }
+  };
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::uint64_t> buckets(
+        rng.NextBelow(Histogram::kBuckets + 3));
+    std::uint64_t total = 0;
+    for (auto& b : buckets) {
+      b = rng.NextBelow(3) == 0 ? value() : rng.NextBelow(4);
+      total += b;
+    }
+    const std::uint64_t count = rng.NextBelow(4) == 0 ? value() : total;
+    const std::uint64_t a = value(), b = value();
+    const std::uint64_t min = rng.NextBool() ? std::min(a, b) : a;
+    const std::uint64_t max = rng.NextBool() ? std::max(a, b) : b;
+    auto h = Histogram::FromParts(buckets, count, value(), min, max);
+    if (!h) continue;
+    ++accepted;
+    // The buckets hold exactly `count` samples, with no wrap-around.
+    unsigned __int128 held = 0;
+    for (std::uint64_t v : h->buckets()) held += v;
+    EXPECT_EQ(held, count);
+    EXPECT_EQ(h->count(), count);
+    EXPECT_LE(h->BucketsUsed(), Histogram::kBuckets);
+    EXPECT_LE(h->ApproxQuantile(0.5), h->max());
+    MetricsRegistry reg;
+    reg.MergeHistogram("h", *h);
+    const std::string line = reg.SerializeCompact();
+    auto back = MetricsRegistry::ParseCompact(line);
+    ASSERT_TRUE(back.has_value()) << line;
+    EXPECT_EQ(*back, reg) << line;
+  }
+  EXPECT_GT(accepted, 1000u);
 }
 
 TraceShard SampleShard(std::uint32_t node, std::uint64_t epoch,
@@ -116,7 +285,7 @@ TraceShard SampleShard(std::uint32_t node, std::uint64_t epoch,
   }
   s.flight.push_back(FlightEvent{7, node + 1, FlightKind::kSessionStart,
                                  epoch, 0});
-  s.metrics.AddCounter("net.delivered", records);
+  s.metrics.Add("net.delivered", static_cast<std::int64_t>(records));
   return s;
 }
 
@@ -261,6 +430,44 @@ TEST(CheckShardsTest, EveryOutcomeKindPairsWithASend) {
   }
 }
 
+TEST(CheckShardsTest, OutcomeEndpointsMustMatchTheirSend) {
+  // The trace of `celect_trace record --protocol=C --n=16 --seed=1`,
+  // with node 4's delivery from peer 0 rewired to mid 2 — a message
+  // node 1 sent to node 5. Its mid is minted, its clock exceeds the
+  // send's, and it opens a fresh FIFO session, so only the endpoint
+  // check can see it.
+  harness::RunOptions o;
+  o.n = 16;
+  o.seed = 1;
+  o.mapper = harness::MapperKind::kSenseOfDirection;
+  const auto run = harness::RunElectionTraced(proto::sod::MakeProtocolC(), o);
+  std::vector<std::string> problems;
+  std::vector<TraceShard> shards = ShardsFromRecords(run.records, &problems);
+  ASSERT_TRUE(problems.empty());
+  ASSERT_TRUE(CheckShards(shards).empty());
+  const auto find = [&shards](sim::NodeId node, sim::TraceRecord::Kind kind,
+                              sim::NodeId peer) -> sim::TraceRecord* {
+    for (TraceShard& s : shards) {
+      if (s.node != node) continue;
+      for (sim::TraceRecord& r : s.records) {
+        if (r.kind == kind && r.peer == peer) return &r;
+      }
+    }
+    return nullptr;
+  };
+  const sim::TraceRecord* send = find(1, sim::TraceRecord::Kind::kSend, 5);
+  ASSERT_NE(send, nullptr);
+  ASSERT_EQ(send->mid, 2u);
+  sim::TraceRecord* recv = find(4, sim::TraceRecord::Kind::kDeliver, 0);
+  ASSERT_NE(recv, nullptr);
+  recv->mid = 2;
+  problems = CheckShards(shards);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("outcome endpoints do not match its send"),
+            std::string::npos)
+      << problems[0];
+}
+
 // --- strict parsing -----------------------------------------------------
 
 const char kRecordLine[] =
@@ -311,18 +518,29 @@ TEST(StrictParseTest, RejectsSignsAndOutOfRangeValues) {
 }
 
 TEST(StrictParseTest, AcceptedLinesRoundTripByteForByte) {
-  // Every single-character edit within a line of canonical input either
-  // fails to parse or is itself canonical: whatever the parsers accept,
-  // the serializers write back unchanged.
+  // Every single-character edit of canonical input (newlines included)
+  // and every swap of two adjacent lines either fails to parse or is
+  // itself canonical: whatever the parsers accept, the serializers
+  // write back unchanged.
   const auto edits = [](const std::string& text) {
     std::vector<std::string> out;
     for (std::size_t i = 0; i <= text.size(); ++i) {
-      for (const char* ins : {"0", "1", "+", "-", " ", ".", ",", ":"}) {
+      for (const char* ins : {"0", "1", "+", "-", " ", ".", ",", ":", "\n"}) {
         out.push_back(text.substr(0, i) + ins + text.substr(i));
       }
-      if (i < text.size() && text[i] != '\n') {
+      if (i < text.size()) {
         out.push_back(text.substr(0, i) + text.substr(i + 1));
       }
+    }
+    const std::vector<std::string> lines = SplitOn(text, '\n');
+    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+      std::vector<std::string> swapped = lines;
+      std::swap(swapped[i], swapped[i + 1]);
+      std::string joined = swapped[0];
+      for (std::size_t j = 1; j < swapped.size(); ++j) {
+        joined += "\n" + swapped[j];
+      }
+      out.push_back(joined);
     }
     return out;
   };
@@ -340,7 +558,9 @@ TEST(StrictParseTest, AcceptedLinesRoundTripByteForByte) {
   h.Add(5);
   h.Add(900);
   shard.metrics.MergeHistogram("rtt_us", h);
-  for (const std::string& text : edits(SerializeShard(shard))) {
+  const std::string blocks =
+      SerializeShard(shard) + SerializeShard(SampleShard(4, 78, 1));
+  for (const std::string& text : edits(blocks)) {
     std::string error;
     if (auto parsed = ParseShards(text, &error)) {
       ++accepted;
@@ -349,9 +569,31 @@ TEST(StrictParseTest, AcceptedLinesRoundTripByteForByte) {
       EXPECT_EQ(back, text);
     }
   }
-  // Digit edits and label edits keep lines canonical, so the check
-  // above is not vacuous.
+  // Digit edits, label edits and record swaps keep blocks canonical, so
+  // the check above is not vacuous.
   EXPECT_GT(accepted, 100u);
+
+  // A block is the header, one #metrics line, flight lines, then
+  // records, in that order.
+  std::string error;
+  const std::string header =
+      "#shard v1 node=1 epoch=1 complete=1 dropped=0 label=x\n";
+  const std::string flight =
+      "#flight at=0 peer=0 kind=retransmit a=0 b=0\n";
+  const std::string record =
+      "0 send at=0 node=1 peer=0 port=1 type=1 clock=1 mid=1 phase=none\n";
+  EXPECT_TRUE(ParseShards(header + "#metrics -\n" + flight + record +
+                              "#end shard\n",
+                          &error))
+      << error;
+  for (const std::string& bad :
+       {header + "#end shard\n",
+        header + "#metrics -\n#metrics -\n#end shard\n",
+        header + "#metrics -\n" + record + flight + "#end shard\n",
+        header + "#metrics -\n#end shard",
+        header + "#metrics -\n\n#end shard\n"}) {
+    EXPECT_FALSE(ParseShards(bad, &error).has_value()) << bad;
+  }
 }
 
 ClusterConfig TracedConfig() {
@@ -432,9 +674,11 @@ TEST(TracedElectionTest, SessionHistogramsReachTheClusterResult) {
   config.link.loss = 0.15;
   ClusterResult result = RunSimElection(config, MakeFaultTolerant(1));
   ASSERT_TRUE(result.agreed);
-  EXPECT_GT(result.rtt_us.count(), 0u);
-  EXPECT_GT(result.window_occupancy.count(), 0u);
-  EXPECT_GT(result.backoff_us.count(), 0u) << "15% loss must retransmit";
+  const MetricsRegistry m = result.metrics();
+  const auto& h = m.histograms();
+  EXPECT_EQ(h.count("rtt_us"), 1u);
+  EXPECT_EQ(h.count("window_occupancy"), 1u);
+  EXPECT_EQ(h.count("backoff_us"), 1u) << "15% loss must retransmit";
 }
 
 }  // namespace

@@ -123,10 +123,10 @@ std::vector<std::string> StripComments(const std::vector<std::string>& raw) {
 }
 
 const std::vector<std::string> kRuleIds = {
-    "no-wall-clock",     "no-unseeded-rng",  "no-unordered-iteration",
-    "no-pointer-keys",   "proto-observe",    "proto-phase-spans",
-    "proto-packet-arms", "metrics-surfaced", "layering",
-    "bad-suppression",   "unused-suppression",
+    "no-wall-clock",     "no-unseeded-rng", "no-unordered-iteration",
+    "no-pointer-keys",   "proto-observe",   "proto-phase-spans",
+    "proto-packet-arms", "layering",        "bad-suppression",
+    "unused-suppression",
 };
 
 void ParseSuppressions(SourceFile& f) {
@@ -205,7 +205,6 @@ class Linter {
   void CheckPointerKeys(SourceFile& f);
   void CheckProtoContracts(SourceFile& f);
   void CheckPacketArms(SourceFile& f);
-  void CheckMetricsSurfaced();
   void CheckLayering(SourceFile& f);
 
   // Occurrences of `word` as a whole identifier in the stripped text.
@@ -694,61 +693,6 @@ void Linter::CheckPacketArms(SourceFile& f) {
   }
 }
 
-void Linter::CheckMetricsSurfaced() {
-  SourceFile* metrics = nullptr;
-  for (SourceFile& f : files_) {
-    if (f.rel.size() >= 13 &&
-        f.rel.compare(f.rel.size() - 13, 13, "sim/metrics.h") == 0) {
-      metrics = &f;
-    }
-  }
-  if (metrics == nullptr) return;
-  // Getters: const member functions of the form `name(...) const`.
-  const std::string& text = metrics->joined;
-  std::size_t pos = 0;
-  while ((pos = text.find("(", pos)) != std::string::npos) {
-    std::size_t close = text.find(')', pos);
-    if (close == std::string::npos) break;
-    std::size_t after = close + 1;
-    while (after < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[after])) != 0) {
-      ++after;
-    }
-    if (text.compare(after, 5, "const") != 0 ||
-        (after + 5 < text.size() && IsIdentChar(text[after + 5]))) {
-      ++pos;
-      continue;
-    }
-    std::size_t name_e = pos;
-    while (name_e > 0 && std::isspace(static_cast<unsigned char>(
-                             text[name_e - 1])) != 0) {
-      --name_e;
-    }
-    std::size_t name_b = name_e;
-    while (name_b > 0 && IsIdentChar(text[name_b - 1])) --name_b;
-    std::string getter = text.substr(name_b, name_e - name_b);
-    ++pos;
-    if (getter.empty() || getter == "operator") continue;
-    bool surfaced = false;
-    std::string impl = metrics->rel.substr(0, metrics->rel.size() - 2) +
-                       ".cpp";
-    for (const SourceFile& g : files_) {
-      if (g.rel == metrics->rel || g.rel == impl) continue;
-      if (!FindWord(g.joined, getter).empty()) {
-        surfaced = true;
-        break;
-      }
-    }
-    if (!surfaced) {
-      Report(*metrics, LineOf(*metrics, name_b), "metrics-surfaced",
-             "Metrics getter " + getter +
-                 "() is read nowhere outside sim/metrics.{h,cpp} — "
-                 "every counter must be surfaced in RunResult or the "
-                 "bench JSON emitter (or deleted)");
-    }
-  }
-}
-
 void Linter::CheckLayering(SourceFile& f) {
   // Allowed #include targets per subsystem. The load-bearing edges:
   // util is freestanding, obs sits under sim (it may see sim's trace
@@ -803,7 +747,6 @@ LintResult Linter::Run() {
     CheckPacketArms(f);
     CheckLayering(f);
   }
-  CheckMetricsSurfaced();
   LintResult result;
   result.files_scanned = files_.size();
   result.findings = std::move(findings_);

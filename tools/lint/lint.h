@@ -32,9 +32,6 @@
 //     proto-phase-spans     ... and emits BeginPhase/EndPhase spans
 //     proto-packet-arms     every enumerator of a *Msg packet enum has
 //                           a handler (case) arm and a send site
-//     metrics-surfaced      every sim::Metrics getter is consumed
-//                           outside metrics.{h,cpp} (counters must
-//                           reach RunResult / the bench JSON emitter)
 //
 //   layering
 //     layering              #include "celect/<dir>/..." must respect
